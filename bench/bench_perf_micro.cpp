@@ -3,7 +3,9 @@
 // and the discrete-event engine.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <memory>
+#include <string_view>
 
 #include "isa/kernel.hpp"
 #include "isa/stream.hpp"
@@ -100,22 +102,72 @@ void BM_CoreStepFourContexts(benchmark::State& state) {
 }
 BENCHMARK(BM_CoreStepFourContexts);
 
-void BM_SamplerColdMeasurement(benchmark::State& state) {
-  // Cost of one full cycle-level measurement window (cache miss).
-  const auto kernel = hpc().id;
+/// Chip loads for the cold-measurement rung, one per cost regime of the
+/// default two-core chip.
+enum class ColdShape {
+  kBusyPair,     ///< hpc_mixed + spin_wait on core 0, core 1 idle
+  kStalledPair,  ///< mem_stress + l2_stress on core 0, core 1 idle
+  kIdleChip,     ///< no context engaged
+  kFactorised,   ///< a busy pair on each core, certified independent
+};
+
+smt::ChipLoad cold_load(ColdShape shape) {
+  const auto& registry = isa::KernelRegistry::instance();
+  const auto on = [&](std::string_view kernel) {
+    return smt::ContextLoad{registry.by_name(kernel).id,
+                            smt::HwPriority::kMedium};
+  };
+  smt::ChipLoad load;
+  switch (shape) {
+    case ColdShape::kBusyPair:
+      load.contexts[0] = on(isa::kKernelHpcMixed);
+      load.contexts[1] = on(isa::kKernelSpinWait);
+      break;
+    case ColdShape::kStalledPair:
+      load.contexts[0] = on(isa::kKernelMemStress);
+      load.contexts[1] = on(isa::kKernelL2Stress);
+      break;
+    case ColdShape::kIdleChip:
+      break;
+    case ColdShape::kFactorised:
+      load.contexts[0] = on(isa::kKernelHpcMixed);
+      load.contexts[1] = on(isa::kKernelSpinWait);
+      load.contexts[2] = on(isa::kKernelCfd);
+      load.contexts[3] = on(isa::kKernelSpinWait);
+      break;
+  }
+  return load;
+}
+
+void BM_SamplerColdMeasurement(benchmark::State& state, ColdShape shape) {
+  // One fresh sampler and one cold sample() (a miss) per iteration; the
+  // sampler's construction (about 0.5 ms, mostly the L3 tag array) is
+  // timed too, as every cold lookup on a new worker pays it. Items are the
+  // core-cycles the measurement covers, num_cores x (warm-up + window), so
+  // items/s is simulated core-cycles per second whether the sampler steps
+  // a core, skips it as idle or measures cores one by one.
+  const smt::ThroughputSampler::Options options{
+      .warmup_cycles = 30000, .window_cycles = 120000, .seed = 1};
+  const smt::ChipConfig chip;
+  const smt::ChipLoad load = cold_load(shape);
   for (auto _ : state) {
-    smt::ThroughputSampler sampler(
-        smt::ChipConfig{},
-        smt::ThroughputSampler::Options{.warmup_cycles = 30000,
-                                        .window_cycles = 120000,
-                                        .seed = 1});
-    smt::ChipLoad load;
-    load.contexts[0] = smt::ContextLoad{kernel, smt::HwPriority::kMedium};
-    load.contexts[1] = smt::ContextLoad{kernel, smt::HwPriority::kMedium};
+    smt::ThroughputSampler sampler(chip, options);
     benchmark::DoNotOptimize(sampler.sample(load));
   }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(chip.num_cores) *
+                          static_cast<std::int64_t>(options.warmup_cycles +
+                                                    options.window_cycles));
 }
-BENCHMARK(BM_SamplerColdMeasurement)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SamplerColdMeasurement, busy_pair, ColdShape::kBusyPair)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SamplerColdMeasurement, stalled_pair,
+                  ColdShape::kStalledPair)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SamplerColdMeasurement, idle_chip, ColdShape::kIdleChip)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SamplerColdMeasurement, factorised, ColdShape::kFactorised)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_SamplerMemoisedLookup(benchmark::State& state) {
   const auto kernel = hpc().id;
@@ -146,6 +198,9 @@ void BM_EngineBarrierApp(benchmark::State& state) {
     }
   }
   const auto placement = mpisim::Placement::identity(4);
+  // Warm the sampler outside the timed region: every timed run is served
+  // from its memo, so the rung measures the event engine alone.
+  (void)mpisim::Engine(app, placement, config, sampler).run();
   for (auto _ : state) {
     mpisim::Engine engine(app, placement, config, sampler);
     benchmark::DoNotOptimize(engine.run());
@@ -153,7 +208,7 @@ void BM_EngineBarrierApp(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_EngineBarrierApp)->Arg(4)->Arg(16)->Arg(64)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_EngineBarrierAppWide(benchmark::State& state) {
   // Event-kernel scaling: the same barrier app at 16 ranks on an 8-core
@@ -181,6 +236,7 @@ void BM_EngineBarrierAppWide(benchmark::State& state) {
     ++spread;
   }
   const auto placement = mpisim::Placement::identity(kRanks);
+  (void)mpisim::Engine(app, placement, config, sampler).run();  // warm, untimed
   for (auto _ : state) {
     mpisim::Engine engine(app, placement, config, sampler);
     benchmark::DoNotOptimize(engine.run());
@@ -188,7 +244,7 @@ void BM_EngineBarrierAppWide(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0) * kRanks);
 }
 BENCHMARK(BM_EngineBarrierAppWide)->Arg(4)->Arg(16)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -500,11 +500,7 @@ ClusterRunResult ClusterEngine::run() {
   // Aggregate over the distinct samplers (just the base one on a
   // homogeneous cluster, so those totals are unchanged).
   for (const auto& sampler : samplers_) {
-    const smt::SamplerStats& stats = sampler->stats();
-    result.flat.sampler_stats.lookups += stats.lookups;
-    result.flat.sampler_stats.misses += stats.misses;
-    result.flat.sampler_stats.shared_hits += stats.shared_hits;
-    result.flat.sampler_stats.local_hits += stats.local_hits;
+    result.flat.sampler_stats += sampler->stats();
   }
   result.flat.metrics = metrics_observer.take();
 
@@ -526,6 +522,14 @@ ClusterRunResult ClusterEngine::run() {
     result.nodes[n].migration_stall = counters.stall;
   }
   return result;
+}
+
+smt::SamplerStats ClusterEngine::shape_sampler_stats() const {
+  smt::SamplerStats total;
+  for (std::size_t i = 1; i < samplers_.size(); ++i) {
+    total += samplers_[i]->stats();
+  }
+  return total;
 }
 
 }  // namespace smtbal::cluster

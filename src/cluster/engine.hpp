@@ -158,6 +158,12 @@ class ClusterEngine final : public mpisim::EngineControl {
   /// Runs the application to completion. May be called once per engine.
   ClusterRunResult run();
 
+  /// Summed counters of the samplers this engine built for node shapes
+  /// other than the base chip (zero on a homogeneous cluster). They live
+  /// and die with the engine, so a caller that totals its own shared
+  /// samplers' stats must add these to count every measurement.
+  [[nodiscard]] smt::SamplerStats shape_sampler_stats() const;
+
   // --- EngineControl (global rank ids) ---------------------------------------
   void set_rank_priority(RankId rank, int priority) override;
   [[nodiscard]] int rank_priority(RankId rank) const override;

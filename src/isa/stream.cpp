@@ -16,11 +16,7 @@ StreamGen::StreamGen(const Kernel& kernel, std::uint64_t seed)
     acc += params_.mix[static_cast<std::size_t>(i)];
     cum_mix_[i] = acc;
   }
-  // Give each stream its own address-space slice so that two ranks running
-  // the same kernel do not share data in the cache model (MPI processes
-  // have distinct address spaces).
-  std::uint64_t s = seed;
-  base_ = (splitmix64(s) << 20) & ~std::uint64_t{0xFFFFF};
+  base_ = slice_base(seed);
   if (params_.mean_dep_dist > 0.0) {
     const double p = 1.0 / params_.mean_dep_dist;
     log_one_minus_p_ = std::log(1.0 - p);
@@ -31,6 +27,22 @@ StreamGen::StreamGen(const Kernel& kernel, std::uint64_t seed)
     }
   }
   stride_fits_ = params_.stride_bytes < params_.working_set_bytes;
+}
+
+std::uint64_t StreamGen::slice_base(std::uint64_t seed) {
+  // Give each stream its own address-space slice so that two ranks running
+  // the same kernel do not share data in the cache model (MPI processes
+  // have distinct address spaces).
+  return (splitmix64(seed) << 20) & ~std::uint64_t{0xFFFFF};
+}
+
+AddressRange StreamGen::footprint(const Kernel& kernel, std::uint64_t seed) {
+  const auto& mix = kernel.params.mix;
+  if (mix[static_cast<std::size_t>(OpClass::kLoad)] <= 0.0 &&
+      mix[static_cast<std::size_t>(OpClass::kStore)] <= 0.0) {
+    return AddressRange{};
+  }
+  return AddressRange{slice_base(seed), kernel.params.working_set_bytes};
 }
 
 void StreamGen::build_dep_table() {

@@ -15,9 +15,24 @@
 
 namespace smtbal::isa {
 
+/// A byte range [base, base + bytes) of the simulated address space. The
+/// end may wrap past 2^64: addresses are computed modulo 2^64.
+struct AddressRange {
+  std::uint64_t base = 0;
+  std::uint64_t bytes = 0;
+};
+
 class StreamGen {
  public:
   StreamGen(const Kernel& kernel, std::uint64_t seed);
+
+  /// Every address the loads and stores of StreamGen(kernel, seed) can
+  /// touch: [base, base + working_set) of that stream's address-space
+  /// slice, or an empty range when the kernel issues no memory ops. A pure
+  /// function of (kernel, seed), so callers can reason about a stream's
+  /// cache footprint without generating it.
+  [[nodiscard]] static AddressRange footprint(const Kernel& kernel,
+                                              std::uint64_t seed);
 
   /// Produces the next micro-op of the stream.
   [[nodiscard]] MicroOp next();
@@ -27,6 +42,9 @@ class StreamGen {
   [[nodiscard]] InstrCount generated() const { return generated_; }
 
  private:
+  /// Base of the address-space slice owned by the stream seeded `seed`.
+  [[nodiscard]] static std::uint64_t slice_base(std::uint64_t seed);
+
   [[nodiscard]] OpClass pick_class();
   [[nodiscard]] std::uint64_t next_address();
   [[nodiscard]] std::uint16_t pick_dep_dist();

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "mem/cache.hpp"
@@ -73,5 +74,29 @@ class Hierarchy {
   Cache l3_;
   std::uint64_t memory_accesses_ = 0;
 };
+
+/// Bytes [base, base + bytes) that the contexts of one core may touch (the
+/// end wraps modulo 2^64, like the addresses themselves).
+struct CoreFootprint {
+  std::uint32_t core = 0;
+  std::uint64_t base = 0;
+  std::uint64_t bytes = 0;
+};
+
+/// Static no-interference certificate for the shared levels: true when no
+/// access of one core can change the hit/miss outcome of another core's
+/// access, so that each core run alone on the hierarchy sees exactly the
+/// L1/L2/L3 outcomes it sees running beside the others. It holds when
+///   * no cache line lies in the footprints of two different cores, and
+///   * every L2 or L3 set that receives lines from two or more cores
+///     receives at most `associativity` distinct lines in total, so it
+///     never evicts.
+/// A set fed by one core alone sees the same access sequence either way,
+/// and true LRU compares only the relative order of that core's accesses.
+/// Overlapping footprints of one core are counted once. Footprints must
+/// cover every address the cores can touch; the test is conservative (a
+/// false result only means "not proven").
+[[nodiscard]] bool cores_independent(const HierarchyConfig& config,
+                                     std::span<const CoreFootprint> footprints);
 
 }  // namespace smtbal::mem

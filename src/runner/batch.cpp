@@ -130,6 +130,9 @@ BatchResult BatchRunner::run(const std::vector<RunSpec>& specs) const {
   // shared cache).
   std::vector<std::vector<std::shared_ptr<smt::ThroughputSampler>>> samplers(
       jobs, std::vector<std::shared_ptr<smt::ThroughputSampler>>(domains.size()));
+  // Counters of the per-shape samplers that heterogeneous cluster runs
+  // build and drop inside their engines, per worker.
+  std::vector<smt::SamplerStats> shape_stats(jobs);
 
   parallel_for_stealing(jobs, specs.size(), [&](std::size_t i, unsigned worker) {
     const RunSpec& spec = specs[i];
@@ -152,6 +155,7 @@ BatchResult BatchRunner::run(const std::vector<RunSpec>& specs) const {
                                       *spec.cluster_config, sampler);
         if (policy != nullptr) engine.set_policy(policy.get());
         cluster::ClusterRunResult cluster_result = engine.run();
+        shape_stats[worker] += engine.shape_sampler_stats();
         out.node_stats = std::move(cluster_result.nodes);
         out.result = std::move(cluster_result.flat);
       } else {
@@ -189,13 +193,11 @@ BatchResult BatchRunner::run(const std::vector<RunSpec>& specs) const {
   }
   for (const auto& worker_samplers : samplers) {
     for (const auto& sampler : worker_samplers) {
-      if (sampler == nullptr) continue;
-      const smt::SamplerStats& stats = sampler->stats();
-      batch.sampler_stats.lookups += stats.lookups;
-      batch.sampler_stats.misses += stats.misses;
-      batch.sampler_stats.shared_hits += stats.shared_hits;
-      batch.sampler_stats.local_hits += stats.local_hits;
+      if (sampler != nullptr) batch.sampler_stats += sampler->stats();
     }
+  }
+  for (const smt::SamplerStats& stats : shape_stats) {
+    batch.sampler_stats += stats;
   }
   return batch;
 }

@@ -103,10 +103,10 @@ struct BatchResult {
   /// Scheduling-dependent (see the determinism note above): report these,
   /// never compare them across runs.
   smt::SampleCacheStats cache_stats;
-  /// Aggregate sampler counters summed over every worker-local sampler:
-  /// lookups, cycle-level measurements actually run (misses), and local
-  /// misses served by the shared cache. Scheduling-dependent, like
-  /// cache_stats.
+  /// Aggregate sampler counters summed over every worker-local sampler and
+  /// every per-shape sampler a heterogeneous cluster run built: lookups,
+  /// measured loads (misses, with their per-core split) and local misses
+  /// served by the shared cache. Scheduling-dependent, like cache_stats.
   smt::SamplerStats sampler_stats;
 };
 

@@ -170,17 +170,19 @@ std::string to_json_batch_record(const BatchResult& batch) {
   std::ostringstream os;
   const smt::SamplerStats& sampler = batch.sampler_stats;
   const smt::SampleCacheStats& cache = batch.cache_stats;
-  // Schema /2: local_hits is now the sampler's own explicit counter. The
-  // /1 trailer derived it as lookups - misses - shared_hits, which counts
-  // a shared-hit promotion's later local hits and cold local hits as one
-  // bucket — wrong whenever a shared cache is attached.
-  os << "{\"schema\":\"smtbal.bench.batch/2\",\"jobs\":" << batch.jobs
+  // Schema /3 adds the per-core factorisation counters, and its sampler
+  // totals include the per-shape samplers of heterogeneous cluster runs.
+  // /2 made local_hits the sampler's own explicit counter.
+  os << "{\"schema\":\"smtbal.bench.batch/3\",\"jobs\":" << batch.jobs
      << ",\"runs\":" << batch.runs.size()
      << ",\"failures\":" << batch.failures
      << ",\"sampler\":{\"lookups\":" << sampler.lookups
      << ",\"misses\":" << sampler.misses
      << ",\"shared_hits\":" << sampler.shared_hits
      << ",\"local_hits\":" << sampler.local_hits
+     << ",\"full_chip_fallbacks\":" << sampler.full_chip_fallbacks
+     << ",\"core_measurements\":" << sampler.core_measurements
+     << ",\"core_hits\":" << sampler.core_hits
      << "},\"sample_cache\":{\"hits\":" << cache.hits
      << ",\"misses\":" << cache.misses << ",\"inserts\":" << cache.inserts
      << ",\"evictions\":" << cache.evictions

@@ -312,10 +312,7 @@ void EvalService::process_wave(std::vector<Job> wave) {
   stats_.deduped += local_deduped;
   stats_.failed += local_failed;
   stats_.evaluated += pending.size();
-  stats_.sampler.lookups += wave_sampler.lookups;
-  stats_.sampler.misses += wave_sampler.misses;
-  stats_.sampler.shared_hits += wave_sampler.shared_hits;
-  stats_.sampler.local_hits += wave_sampler.local_hits;
+  stats_.sampler += wave_sampler;
 }
 
 std::shared_ptr<smt::SampleCache> EvalService::domain_cache(

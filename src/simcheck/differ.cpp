@@ -137,6 +137,32 @@ std::optional<std::string> diff_flat_vs_cluster(
   return diff_common(flat, clustered.flat);
 }
 
+std::optional<std::string> diff_factorised_vs_full_chip(
+    const smt::ChipConfig& chip, const smt::ThroughputSampler::Options& options,
+    const std::vector<smt::ChipLoad>& loads) {
+  smt::ThroughputSampler sampler(chip, options);
+  for (std::size_t i = 0; i < loads.size(); ++i) {
+    const smt::SampleResult sampled = sampler.sample(loads[i]);
+    const smt::SampleResult full = sampler.measure_full_chip(loads[i]);
+    if (sampled == full) continue;
+    std::optional<std::string> out;
+    const std::string what =
+        "load " + std::to_string(i) +
+        (sampler.factorisable(loads[i]) ? " (factorised)" : " (full chip)") +
+        " context ";
+    for (std::uint32_t ctx = 0; ctx < chip.num_contexts(); ++ctx) {
+      if (!same(out, what + std::to_string(ctx) + " ipc", sampled.ipc[ctx],
+                full.ipc[ctx]) ||
+          !same(out, what + std::to_string(ctx) + " instr_rate",
+                sampled.instr_rate[ctx], full.instr_rate[ctx])) {
+        break;
+      }
+    }
+    return out;
+  }
+  return std::nullopt;
+}
+
 std::optional<std::string> check_spec(const ScenarioSpec& raw) {
   const ScenarioSpec spec = sanitize_spec(raw);
   try {
@@ -157,6 +183,10 @@ std::optional<std::string> check_spec(const ScenarioSpec& raw) {
           oracle_run(sc.app, sc.placement, sc.config, sc.priorities);
       if (auto d = diff_engine_vs_oracle(engine_result, oracle)) {
         return "engine-vs-oracle: " + *d;
+      }
+      if (auto d = diff_factorised_vs_full_chip(
+              sc.config.chip, sc.config.sampler, oracle.loads)) {
+        return "factorised-vs-full-chip: " + *d;
       }
 
       // The same scenario through a one-node cluster must retrace the

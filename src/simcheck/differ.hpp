@@ -9,7 +9,11 @@
 //     naive straight-line oracle (oracle.hpp), single-node scenarios;
 //   * flat vs cluster(M=1) — the flat engine against a one-node cluster
 //     wrapping the identical scenario, which must take the same path
-//     through the simulation core.
+//     through the simulation core;
+//   * factorised vs full chip — every chip load the oracle sampled,
+//     measured by ThroughputSampler::sample() (core by core wherever the
+//     no-interference certificate holds) against the whole-chip
+//     reference measurement.
 //
 // check_spec() runs every differential applicable to a spec with the
 // invariant checker attached (multi-node specs run under the invariant
@@ -21,6 +25,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "cluster/engine.hpp"
 #include "mpisim/engine.hpp"
@@ -41,8 +46,16 @@ namespace smtbal::simcheck {
 [[nodiscard]] std::optional<std::string> diff_flat_vs_cluster(
     const mpisim::RunResult& flat, const cluster::ClusterRunResult& clustered);
 
+/// First load whose sampled rates differ from a full-chip measurement
+/// (ThroughputSampler::measure_full_chip) on a fresh sampler for `chip`
+/// and `options`, or nullopt when all of `loads` agree bit for bit.
+[[nodiscard]] std::optional<std::string> diff_factorised_vs_full_chip(
+    const smt::ChipConfig& chip, const smt::ThroughputSampler::Options& options,
+    const std::vector<smt::ChipLoad>& loads);
+
 /// Builds and runs the full battery for one spec: single-node specs run
-/// engine-vs-oracle and flat-vs-cluster(M=1); multi-node specs run the
+/// engine-vs-oracle, factorised-vs-full-chip over the oracle's loads and
+/// flat-vs-cluster(M=1); multi-node specs run the
 /// cluster engine under the invariant checker (with interconnect
 /// watching). Invariant violations and unexpected exceptions are
 /// reported as failures. nullopt = the spec passes.

@@ -174,6 +174,7 @@ class Oracle {
   const mpisim::Placement& placement_;
   mpisim::EngineConfig config_;
   smt::ThroughputSampler sampler_;
+  std::vector<smt::ChipLoad> loads_;  ///< distinct sampled loads (misses)
   os::KernelModel kernel_;
   mpisim::Network network_;
   trace::Tracer tracer_;
@@ -282,7 +283,9 @@ void Oracle::start_segment(std::size_t rank, double rate) {
 /// events.
 void Oracle::refresh_rates() {
   const smt::ChipLoad load = build_load();
+  const std::uint64_t misses = sampler_.stats().misses;
   const smt::SampleResult& rates = sampler_.sample(load);
+  if (sampler_.stats().misses != misses) loads_.push_back(load);
   for (std::size_t r = 0; r < ranks_.size(); ++r) {
     OracleRank& rt = ranks_[r];
     const bool fresh = rt.fresh_compute;
@@ -683,6 +686,7 @@ OracleResult Oracle::run() {
   result.events = events_;
   result.priority_resets = kernel_.priority_resets();
   result.metrics = metrics_.take();
+  result.loads = std::move(loads_);
   return result;
 }
 

@@ -39,6 +39,7 @@
 #include "mpisim/engine.hpp"
 #include "mpisim/metrics.hpp"
 #include "mpisim/phase.hpp"
+#include "smt/sampler.hpp"
 #include "trace/tracer.hpp"
 
 namespace smtbal::simcheck {
@@ -54,6 +55,9 @@ struct OracleResult {
   std::uint64_t events = 0;
   std::uint64_t priority_resets = 0;
   mpisim::MetricsReport metrics;
+  /// Every distinct chip load the run sampled, in first-sampled order (the
+  /// input of diff_factorised_vs_full_chip).
+  std::vector<smt::ChipLoad> loads;
 
   OracleResult() = default;
   OracleResult(OracleResult&&) = default;

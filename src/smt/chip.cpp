@@ -59,7 +59,17 @@ void Chip::step() {
 }
 
 void Chip::run(Cycle cycles) {
-  for (Cycle i = 0; i < cycles; ++i) step();
+  std::vector<Core*> busy;
+  for (Core& core : cores_) {
+    if (core.idle()) {
+      core.skip_idle(cycles);
+    } else {
+      busy.push_back(&core);
+    }
+  }
+  for (Cycle i = 0; i < cycles; ++i) {
+    for (Core* core : busy) core->step();
+  }
 }
 
 void Chip::reset() {

@@ -51,6 +51,8 @@ class Chip {
 
   /// Advances every core by one cycle (cores share the clock).
   void step();
+  /// step() `cycles` times. Idle cores (no bound stream) are not stepped:
+  /// they touch no shared state, so only their clocks advance.
   void run(Cycle cycles);
 
   /// Fresh measurement state: drains pipelines, flushes caches, zeroes

@@ -518,4 +518,15 @@ void Core::run(Cycle cycles) {
   for (Cycle i = 0; i < cycles; ++i) step();
 }
 
+bool Core::idle() const {
+  return std::none_of(threads_.begin(), threads_.end(),
+                      [](const ThreadState& t) { return t.stream != nullptr; });
+}
+
+void Core::skip_idle(Cycle cycles) {
+  SMTBAL_REQUIRE(idle(), "skip_idle on a core with a bound stream");
+  SMTBAL_DCHECK(gct_used_ == 0);
+  now_ += cycles;
+}
+
 }  // namespace smtbal::smt

@@ -110,6 +110,14 @@ class Core {
   /// Advances the core by `cycles` cycles.
   void run(Cycle cycles);
 
+  /// True when no context has a bound stream. An idle core's window is
+  /// empty (unbinding clears it), so its step() only advances the clock.
+  [[nodiscard]] bool idle() const;
+
+  /// run(cycles) for an idle core, without stepping: the clock advances
+  /// and nothing else changes, exactly as `cycles` step() calls would.
+  void skip_idle(Cycle cycles);
+
   [[nodiscard]] Cycle now() const { return now_; }
   [[nodiscard]] std::uint32_t num_threads() const {
     return config_.threads_per_core;

@@ -6,8 +6,16 @@
 // chip's contexts changes, the engine asks this sampler for the
 // steady-state per-context instruction rates of that configuration. The
 // sampler runs the cycle model for a short warm-up + measurement window
-// and memoises the result, so each distinct chip configuration is
-// simulated at cycle level exactly once per process.
+// and memoises the result per chip load, in its own table and, when one is
+// attached, in a SampleCache shared by the samplers of one domain.
+//
+// A missed load is measured core by core when a static certificate
+// (mem::cores_independent) proves that no core can change another core's
+// cache outcomes: each busy core then runs alone and is memoised under its
+// own per-core key, idle cores are never simulated, and the result is
+// bit-identical to a whole-chip measurement. Loads that fail the
+// certificate, and every load on a one-core chip, run the whole chip.
+// See DESIGN.md §16.
 #pragma once
 
 #include <array>
@@ -17,6 +25,7 @@
 #include <mutex>
 #include <optional>
 #include <unordered_map>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "isa/kernel.hpp"
@@ -92,6 +101,18 @@ struct ChipLoad {
     std::uint64_t mixed = state ^ word;
     return splitmix64(mixed);
   }
+  /// Memoisation key of core `core`'s share of the load: the contexts
+  /// [core * width, (core + 1) * width) hashed like key(), with the core
+  /// index folded in by a full chain_mix round. Stream seeds depend on
+  /// the linear context number, so equal per-core loads on different
+  /// cores are different measurements. XOR-ing the core into chain_seed
+  /// instead would let it cancel against the low (priority) bits of the
+  /// first context word: core 0 at priority 6 would collide with core 1
+  /// at priority 5 (regression: smt_sampler_test.cpp,
+  /// CoreKeySeparatesCoreFromPriority).
+  [[nodiscard]] std::uint64_t core_key(std::uint32_t core, std::uint32_t width,
+                                       std::uint64_t shape_seed = 0) const;
+
   /// Final fold of the engaged-context count and prefix length.
   [[nodiscard]] static constexpr std::uint64_t chain_finish(
       std::uint64_t state, std::uint64_t engaged, std::uint64_t used) {
@@ -123,13 +144,27 @@ struct SampleResult {
 
 struct SamplerStats {
   std::uint64_t lookups = 0;
-  std::uint64_t misses = 0;       ///< cycle-level simulations actually run
+  /// Chip loads found neither in the sampler's memo nor in the shared
+  /// cache, hence measured: factorised core by core or, for
+  /// full_chip_fallbacks of them, as a whole chip. A factorised miss may
+  /// run no cycle-level simulation at all when the per-core memo serves
+  /// every busy core (core_hits).
+  std::uint64_t misses = 0;
   std::uint64_t shared_hits = 0;  ///< local misses served by a shared cache
   /// Lookups served by the sampler's own memo table. Tracked explicitly:
   /// deriving it as lookups - misses - shared_hits conflates a shared-hit
   /// promotion's later local hits with cold local hits, which the batch
   /// JSONL trailer used to report incorrectly.
   std::uint64_t local_hits = 0;
+  /// Misses measured as a whole chip: the no-interference certificate
+  /// failed, or the chip has one core.
+  std::uint64_t full_chip_fallbacks = 0;
+  /// Busy cores of factorised misses simulated alone at cycle level.
+  std::uint64_t core_measurements = 0;
+  /// Busy cores of factorised misses served by the per-core memo.
+  std::uint64_t core_hits = 0;
+
+  SamplerStats& operator+=(const SamplerStats& other);
 };
 
 struct SampleCacheStats {
@@ -237,6 +272,17 @@ class ThroughputSampler {
   [[nodiscard]] const SampleResult* probe(std::uint64_t key);
   const SampleResult& sample_measured(std::uint64_t key, const ChipLoad& load);
 
+  /// The reference measurement: runs the whole chip on `load` at cycle
+  /// level, bypassing every memo table, the shared cache, the per-core
+  /// factorisation and the counters. sample(load) equals it bit for bit;
+  /// tests and simcheck's factorisation differential check exactly that.
+  [[nodiscard]] SampleResult measure_full_chip(const ChipLoad& load);
+
+  /// Whether the certificate lets `load` be measured core by core: the
+  /// chip has two or more cores and mem::cores_independent holds for the
+  /// footprints of the load's streams.
+  [[nodiscard]] bool factorisable(const ChipLoad& load) const;
+
   /// Attaches a cross-thread result cache (may be nullptr to detach). The
   /// caller must only share one cache between samplers constructed from
   /// equal ChipConfig and Options (see SampleCache). The sampler itself is
@@ -260,12 +306,19 @@ class ThroughputSampler {
 
  private:
   SampleResult measure(const ChipLoad& load);
+  /// Seed of the stream measure_full_chip() binds to linear context `ctx`.
+  [[nodiscard]] std::uint64_t stream_seed(std::uint32_t ctx) const {
+    return options_.seed + ctx * 0x9e37u;
+  }
 
   ChipConfig config_;
   Options options_;
   std::uint64_t shape_seed_;
   Chip chip_;
   std::unordered_map<std::uint64_t, SampleResult> cache_;
+  /// Per-core memo of factorised measurements: ChipLoad::core_key() ->
+  /// IPC of that core's threads_per_core() contexts.
+  std::unordered_map<std::uint64_t, std::vector<double>> core_cache_;
   std::shared_ptr<SampleCache> shared_cache_;
   SamplerStats stats_;
 };

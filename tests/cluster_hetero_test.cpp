@@ -16,6 +16,7 @@
 #include "cluster/workload.hpp"
 #include "common/error.hpp"
 #include "policy/registry.hpp"
+#include "runner/batch.hpp"
 #include "workloads/drift.hpp"
 #include "workloads/stencil.hpp"
 
@@ -210,6 +211,27 @@ TEST(ClusterHetero, MixedWidthRunsAreDeterministic) {
   EXPECT_EQ(ra.flat.exec_time, rb.flat.exec_time);
   EXPECT_EQ(ra.flat.events, rb.flat.events);
   expect_same_trace(ra.flat.trace, rb.flat.trace);
+}
+
+TEST(ClusterHetero, BatchSamplerTotalsCountShapeSamplers) {
+  // The SMT4 node measures on a per-shape sampler the engine builds for
+  // itself. At one worker every measured load is one shared-cache insert,
+  // so the batch's sampler misses must equal the inserts: a total over
+  // the worker's own samplers alone misses the SMT4 node's measurements.
+  MixedWidth mixed = make_mixed_width();
+  mixed.config.node.sampler = {.warmup_cycles = 2000,
+                               .window_cycles = 8000,
+                               .seed = 1};
+  runner::RunSpec spec;
+  spec.label = "mixed-width";
+  spec.app = std::move(mixed.app);
+  spec.cluster_placement = mixed.placement;
+  spec.cluster_config = mixed.config;
+  const runner::BatchResult batch =
+      runner::BatchRunner(runner::BatchOptions{.jobs = 1}).run({spec});
+  ASSERT_EQ(batch.failures, 0u);
+  EXPECT_GT(batch.cache_stats.inserts, 0u);
+  EXPECT_EQ(batch.sampler_stats.misses, batch.cache_stats.inserts);
 }
 
 TEST(ClusterHetero, SlowerClockExtendsTheRun) {

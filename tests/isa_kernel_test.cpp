@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "common/error.hpp"
 
 namespace smtbal::isa {
@@ -33,6 +35,12 @@ struct BadField {
   const char* label;
   void (*mutate)(KernelParams&);
 };
+
+// Without a printer gtest names each case after the struct's bytes: two
+// pointers that move with address-space randomisation on every run.
+void PrintTo(const BadField& field, std::ostream* os) {
+  *os << '"' << field.label << '"';
+}
 
 class KernelParamsBadField : public ::testing::TestWithParam<BadField> {};
 

@@ -181,5 +181,35 @@ TEST(StreamGen, StridedAddressesAdvanceByStride) {
   }
 }
 
+TEST(StreamGen, FootprintCoversEveryGeneratedAddress) {
+  for (const std::string_view name :
+       {kKernelHpcMixed, kKernelL2Stress, kKernelSpinWait}) {
+    const Kernel& k = kernel(name);
+    const AddressRange range = StreamGen::footprint(k, 7);
+    ASSERT_EQ(range.bytes, k.params.working_set_bytes) << name;
+    EXPECT_EQ(range.base % (1u << 20), 0u) << "slices are 1 MiB aligned";
+    StreamGen stream(k, 7);
+    for (int i = 0; i < 20000; ++i) {
+      const MicroOp op = stream.next();
+      if (!op.is_memory()) continue;
+      ASSERT_LT(op.address - range.base, range.bytes) << name << " op " << i;
+    }
+  }
+}
+
+TEST(StreamGen, FootprintDependsOnSeedNotKernel) {
+  EXPECT_EQ(StreamGen::footprint(kernel(kKernelHpcMixed), 3).base,
+            StreamGen::footprint(kernel(kKernelMemStress), 3).base);
+  EXPECT_NE(StreamGen::footprint(kernel(kKernelHpcMixed), 3).base,
+            StreamGen::footprint(kernel(kKernelHpcMixed), 4).base);
+}
+
+TEST(StreamGen, KernelWithoutMemoryOpsHasEmptyFootprint) {
+  Kernel pure;
+  pure.params.name = "pure_fxu";
+  pure.params.mix = {0.7, 0.3, 0.0, 0.0, 0.0};
+  EXPECT_EQ(StreamGen::footprint(pure, 1).bytes, 0u);
+}
+
 }  // namespace
 }  // namespace smtbal::isa

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/error.hpp"
 
 namespace smtbal::mem {
@@ -119,6 +121,91 @@ TEST(Hierarchy, WritesPropagateDirtyState) {
     h.access(0, addr, false);
   }
   EXPECT_GE(h.l1d(0).stats().dirty_evictions, 1u);
+}
+
+// --- no-interference certificate ---------------------------------------------
+
+constexpr std::uint64_t kMiB = 1024 * 1024;
+
+/// `contexts` 16 KiB footprints at 1 MiB-aligned bases, two per core. On
+/// the default hierarchy every such stream lands on L2 sets 0-127.
+std::vector<CoreFootprint> stacked_16k(std::uint32_t contexts) {
+  std::vector<CoreFootprint> footprints;
+  for (std::uint32_t i = 0; i < contexts; ++i) {
+    footprints.push_back({i / 2, (i + 1) * kMiB, 16 * 1024});
+  }
+  return footprints;
+}
+
+TEST(CoresIndependent, EmptyAndSingleCoreLoadsPass) {
+  const HierarchyConfig cfg;
+  EXPECT_TRUE(cores_independent(cfg, {}));
+  // One core may stream through everything: nobody shares its sets.
+  const std::vector<CoreFootprint> one{{0, kMiB, 256 * kMiB},
+                                       {0, 2 * kMiB, 256 * kMiB}};
+  EXPECT_TRUE(cores_independent(cfg, one));
+}
+
+TEST(CoresIndependent, MemStressOnTwoCoresFails) {
+  const std::vector<CoreFootprint> fps{{0, 1 * kMiB, 256 * kMiB},
+                                       {1, 300 * kMiB, 256 * kMiB}};
+  EXPECT_FALSE(cores_independent(HierarchyConfig{}, fps));
+}
+
+TEST(CoresIndependent, OverlappingFootprintsFail) {
+  // One shared line is enough: the other core's fill turns a miss into a
+  // hit, even in a set that never evicts.
+  const std::vector<CoreFootprint> fps{{0, kMiB, 16 * 1024},
+                                       {1, kMiB + 16 * 1024 - 1, 128}};
+  EXPECT_FALSE(cores_independent(HierarchyConfig{}, fps));
+  const std::vector<CoreFootprint> apart{{0, kMiB, 16 * 1024},
+                                         {1, kMiB + 16 * 1024, 128}};
+  EXPECT_TRUE(cores_independent(HierarchyConfig{}, apart));
+}
+
+TEST(CoresIndependent, SameCoreOverlapCountsLinesOnce) {
+  // Nine one-line footprints on L2 set 0, two of them the same line of
+  // core 0: eight distinct lines fit the eight ways; a ninth does not.
+  const HierarchyConfig cfg;
+  std::vector<CoreFootprint> fps{{0, kMiB, 128}, {0, kMiB, 128}};
+  for (std::uint32_t i = 1; i < 8; ++i) fps.push_back({i, (i + 1) * kMiB, 128});
+  EXPECT_TRUE(cores_independent(cfg, fps));
+  fps.push_back({7, 9 * kMiB, 128});
+  EXPECT_FALSE(cores_independent(cfg, fps));
+}
+
+TEST(CoresIndependent, L2StressPairPasses) {
+  // 512 KiB = 4096 lines over 2048 L2 sets: two lines per set per core.
+  const std::vector<CoreFootprint> fps{{0, 1 * kMiB, 512 * 1024},
+                                       {1, 2 * kMiB, 512 * 1024}};
+  EXPECT_TRUE(cores_independent(HierarchyConfig{}, fps));
+}
+
+TEST(CoresIndependent, EightStackedContextsFitExactlyTheWays) {
+  const HierarchyConfig cfg;
+  ASSERT_EQ(cfg.l2.associativity, 8u);
+  EXPECT_TRUE(cores_independent(cfg, stacked_16k(8)));
+  EXPECT_FALSE(cores_independent(cfg, stacked_16k(9)));
+  EXPECT_FALSE(cores_independent(cfg, stacked_16k(16)));
+}
+
+TEST(CoresIndependent, ChecksTheL3Too) {
+  // A roomy L2 with a one-way L3: the L3 decides.
+  HierarchyConfig cfg;
+  cfg.l3.associativity = 1;
+  cfg.l3.size_bytes = 4 * kMiB;
+  const std::vector<CoreFootprint> fps{{0, 1 * kMiB, 128}, {1, 5 * kMiB, 128}};
+  EXPECT_FALSE(cores_independent(cfg, fps));
+  const std::vector<CoreFootprint> apart{{0, 1 * kMiB, 128},
+                                         {1, 5 * kMiB + 128, 128}};
+  EXPECT_TRUE(cores_independent(cfg, apart));
+}
+
+TEST(CoresIndependent, FootprintsWrapAroundTheAddressSpace) {
+  // [2^64 - 1 MiB, 2^64 + 1 MiB) wraps onto [0, 1 MiB), where core 1 sits.
+  const std::uint64_t top = ~std::uint64_t{0} - kMiB + 1;
+  const std::vector<CoreFootprint> fps{{0, top, 2 * kMiB}, {1, 0, 128}};
+  EXPECT_FALSE(cores_independent(HierarchyConfig{}, fps));
 }
 
 }  // namespace

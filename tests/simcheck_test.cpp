@@ -19,6 +19,11 @@
 #include "simcheck/oracle.hpp"
 #include "simcheck/scenario.hpp"
 #include "smt/priority.hpp"
+#include "smt/sampler.hpp"
+#include "workloads/btmz.hpp"
+#include "workloads/cases.hpp"
+#include "workloads/metbench.hpp"
+#include "workloads/siesta.hpp"
 
 namespace smtbal::simcheck {
 namespace {
@@ -210,6 +215,52 @@ TEST(Fuzz, TimeBoxStopsBetweenBatches) {
       options, [](const ScenarioSpec&) { return std::optional<std::string>{}; });
   EXPECT_LT(report.iterations, options.count);
   EXPECT_TRUE(report.ok());
+}
+
+/// Every chip load the paper cases of one table sample, at the table
+/// benches' sampler windows: sample() (factorised wherever the certificate
+/// holds) must equal the whole-chip measurement bit for bit. Iterations
+/// are cut down by the callers; the loads a case visits do not depend on
+/// them.
+void expect_paper_loads_match_full_chip(
+    const mpisim::Application& app,
+    const std::vector<workloads::PaperCase>& cases) {
+  const mpisim::EngineConfig config;
+  smt::ThroughputSampler probe(config.chip, config.sampler);
+  std::size_t factorised = 0;
+  for (const workloads::PaperCase& c : cases) {
+    const OracleResult oracle =
+        oracle_run(app, c.placement, config, c.priorities);
+    ASSERT_FALSE(oracle.loads.empty()) << "case " << c.label;
+    const auto diff = diff_factorised_vs_full_chip(config.chip, config.sampler,
+                                                   oracle.loads);
+    EXPECT_FALSE(diff.has_value()) << "case " << c.label << ": " << *diff;
+    for (const smt::ChipLoad& load : oracle.loads) {
+      factorised += probe.factorisable(load) ? 1 : 0;
+    }
+  }
+  EXPECT_GT(factorised, 0u) << "the differential must exercise factorisation";
+}
+
+TEST(FactorisationDifferential, TableFourLoadsMatchFullChip) {
+  workloads::MetBenchConfig config;
+  config.iterations = 2;
+  expect_paper_loads_match_full_chip(workloads::build_metbench(config),
+                                     workloads::metbench_cases());
+}
+
+TEST(FactorisationDifferential, TableFiveLoadsMatchFullChip) {
+  workloads::BtmzConfig config;
+  config.iterations = 2;
+  expect_paper_loads_match_full_chip(workloads::build_btmz(config),
+                                     workloads::btmz_cases());
+}
+
+TEST(FactorisationDifferential, TableSixLoadsMatchFullChip) {
+  workloads::SiestaConfig config;
+  config.iterations = 2;
+  expect_paper_loads_match_full_chip(workloads::build_siesta(config),
+                                     workloads::siesta_cases());
 }
 
 // --- corpus ------------------------------------------------------------------

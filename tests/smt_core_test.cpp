@@ -377,6 +377,27 @@ TEST(Chip, ResetClearsPerfAndCaches) {
   EXPECT_EQ(chip.memory().l1d(0).valid_lines(), 0u);
 }
 
+TEST(Chip, RunSkipsIdleCoresButAdvancesTheirClocks) {
+  // An idle core is not stepped, yet its clock reads as if it had been,
+  // and the busy core's counters match a chip that steps every core.
+  ChipConfig config;
+  isa::StreamGen a(test_registry().by_name(isa::kKernelHpcMixed), 1);
+  isa::StreamGen b(test_registry().by_name(isa::kKernelHpcMixed), 1);
+  Chip skipping(config);
+  Chip stepping(config);
+  skipping.bind_stream(config.cpu(2), &a);
+  stepping.bind_stream(config.cpu(2), &b);
+  EXPECT_TRUE(skipping.core(CoreId{0}).idle());
+  EXPECT_FALSE(skipping.core(CoreId{1}).idle());
+  skipping.run(3000);
+  for (int i = 0; i < 3000; ++i) stepping.step();
+  EXPECT_EQ(skipping.core(CoreId{0}).now(), 3000u);
+  EXPECT_EQ(skipping.core(CoreId{1}).now(), 3000u);
+  EXPECT_EQ(skipping.perf(config.cpu(2)).retired,
+            stepping.perf(config.cpu(2)).retired);
+  EXPECT_EQ(skipping.perf(config.cpu(0)).decode_cycles_wanted, 0u);
+}
+
 TEST(Chip, RejectsMismatchedMemoryCores) {
   ChipConfig cfg;
   cfg.num_cores = 1;

@@ -370,7 +370,7 @@ TEST(Smt4Engine, BatchRunnerCarriesTheSmt4Chip) {
     EXPECT_EQ(lines[i].find("smtbal.bench.batch/"), std::string::npos);
   }
   const std::string& trailer = lines.back();
-  EXPECT_NE(trailer.find("\"schema\":\"smtbal.bench.batch/2\""),
+  EXPECT_NE(trailer.find("\"schema\":\"smtbal.bench.batch/3\""),
             std::string::npos);
   EXPECT_NE(trailer.find("\"local_hits\""), std::string::npos);
   EXPECT_NE(trailer.find("\"sampler\""), std::string::npos);

@@ -11,17 +11,23 @@ namespace {
 // Table I: priority levels, privilege requirements, or-nop encodings.
 // ---------------------------------------------------------------------------
 
+// gtest names each case after the row's raw bytes (the row has no printer),
+// so the row must have no padding: a one-byte PrivilegeLevel field left
+// three uninitialised bytes that put stack garbage into the test names.
 struct TableOneRow {
   int priority;
-  PrivilegeLevel privilege;
+  int privilege;      // a PrivilegeLevel, widened to int; see level()
   const char* ornop;  // nullptr = no or-nop form
 };
+
+constexpr int level(PrivilegeLevel p) { return static_cast<int>(p); }
 
 class TableOne : public ::testing::TestWithParam<TableOneRow> {};
 
 TEST_P(TableOne, PrivilegeMatchesPaper) {
   const TableOneRow& row = GetParam();
-  EXPECT_EQ(required_privilege(priority_from_int(row.priority)), row.privilege);
+  EXPECT_EQ(level(required_privilege(priority_from_int(row.priority))),
+            row.privilege);
 }
 
 TEST_P(TableOne, OrNopEncodingMatchesPaper) {
@@ -38,14 +44,14 @@ TEST_P(TableOne, OrNopEncodingMatchesPaper) {
 INSTANTIATE_TEST_SUITE_P(
     PaperRows, TableOne,
     ::testing::Values(
-        TableOneRow{0, PrivilegeLevel::kHypervisor, nullptr},
-        TableOneRow{1, PrivilegeLevel::kSupervisor, "or 31,31,31"},
-        TableOneRow{2, PrivilegeLevel::kUser, "or 1,1,1"},
-        TableOneRow{3, PrivilegeLevel::kUser, "or 6,6,6"},
-        TableOneRow{4, PrivilegeLevel::kUser, "or 2,2,2"},
-        TableOneRow{5, PrivilegeLevel::kSupervisor, "or 5,5,5"},
-        TableOneRow{6, PrivilegeLevel::kSupervisor, "or 3,3,3"},
-        TableOneRow{7, PrivilegeLevel::kHypervisor, "or 7,7,7"}),
+        TableOneRow{0, level(PrivilegeLevel::kHypervisor), nullptr},
+        TableOneRow{1, level(PrivilegeLevel::kSupervisor), "or 31,31,31"},
+        TableOneRow{2, level(PrivilegeLevel::kUser), "or 1,1,1"},
+        TableOneRow{3, level(PrivilegeLevel::kUser), "or 6,6,6"},
+        TableOneRow{4, level(PrivilegeLevel::kUser), "or 2,2,2"},
+        TableOneRow{5, level(PrivilegeLevel::kSupervisor), "or 5,5,5"},
+        TableOneRow{6, level(PrivilegeLevel::kSupervisor), "or 3,3,3"},
+        TableOneRow{7, level(PrivilegeLevel::kHypervisor), "or 7,7,7"}),
     [](const auto& info) { return "P" + std::to_string(info.param.priority); });
 
 TEST(Privilege, UserCanOnlySet234) {

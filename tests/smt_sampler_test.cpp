@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -481,6 +484,151 @@ TEST(Sampler, SharedCacheAcrossShapesNeverServesCrossChipHits) {
   EXPECT_EQ(s2.stats().misses, 1u) << "cross-shape lookup must not hit";
   EXPECT_EQ(s2.stats().shared_hits, 0u);
   EXPECT_EQ(cache->stats().inserts, 2u);
+}
+
+// --- per-core factorisation -------------------------------------------------
+
+ChipLoad load_of(
+    std::initializer_list<std::pair<std::uint32_t, ContextLoad>> slots) {
+  ChipLoad load;
+  for (const auto& [ctx, context] : slots) load.contexts[ctx] = context;
+  return load;
+}
+
+ContextLoad on(std::string_view kernel,
+               HwPriority priority = HwPriority::kMedium) {
+  return ContextLoad{kid(kernel), priority};
+}
+
+ChipConfig chip_with_cores(std::uint32_t cores) {
+  ChipConfig config;
+  config.num_cores = cores;
+  config.memory.num_cores = cores;
+  return config;
+}
+
+TEST(Factorisation, CertificateCases) {
+  ThroughputSampler two(ChipConfig{}, fast_options());
+  EXPECT_FALSE(two.factorisable(load_of(
+      {{0, on(isa::kKernelMemStress)}, {2, on(isa::kKernelMemStress)}})));
+  EXPECT_TRUE(two.factorisable(load_of(
+      {{0, on(isa::kKernelL2Stress)}, {2, on(isa::kKernelL2Stress)}})));
+  EXPECT_TRUE(two.factorisable(load_of(
+      {{0, on(isa::kKernelHpcMixed)}, {1, on(isa::kKernelSpinWait)},
+       {3, on(isa::kKernelCfd)}})));
+  // mem_stress alone on its core only shares sets with itself.
+  EXPECT_TRUE(two.factorisable(load_of(
+      {{0, on(isa::kKernelMemStress)}, {1, on(isa::kKernelL2Stress)}})));
+
+  // 1 MiB-aligned slices stack every 16 KiB stream on L2 sets 0-127: eight
+  // contexts fill the eight ways exactly, sixteen overflow them.
+  ChipLoad stacked;
+  for (std::uint32_t ctx = 0; ctx < 16; ++ctx) {
+    stacked.contexts[ctx] = on(isa::kKernelHpcMixed);
+  }
+  ThroughputSampler four(chip_with_cores(4), fast_options());
+  EXPECT_TRUE(four.factorisable(stacked));
+  ThroughputSampler eight(chip_with_cores(8), fast_options());
+  EXPECT_FALSE(eight.factorisable(stacked));
+
+  ThroughputSampler one(chip_with_cores(1), fast_options());
+  EXPECT_FALSE(one.factorisable(load_of({{0, on(isa::kKernelHpcMixed)}})));
+}
+
+TEST(Factorisation, MatchesFullChipBitForBit) {
+  ThroughputSampler sampler(ChipConfig{}, fast_options());
+  const std::vector<ChipLoad> loads = {
+      load_of({{0, on(isa::kKernelHpcMixed, HwPriority::kHigh)},
+               {1, on(isa::kKernelSpinWait, HwPriority::kLow)},
+               {2, on(isa::kKernelHpcMixed)},
+               {3, on(isa::kKernelSpinWait)}}),
+      load_of({{0, on(isa::kKernelL2Stress)}, {2, on(isa::kKernelL2Stress)},
+               {3, on(isa::kKernelFpuStress, HwPriority::kMediumHigh)}}),
+      load_of({{1, on(isa::kKernelCfd)}, {3, on(isa::kKernelDft)}}),
+      load_of({{2, on(isa::kKernelBranchStress)}}),
+      load_of({{0, on(isa::kKernelMemStress)}, {2, on(isa::kKernelIntStress)}}),
+      ChipLoad{},
+  };
+  for (const ChipLoad& load : loads) {
+    EXPECT_EQ(sampler.sample(load), sampler.measure_full_chip(load));
+  }
+  const SamplerStats& stats = sampler.stats();
+  EXPECT_EQ(stats.misses, loads.size());
+  EXPECT_EQ(stats.full_chip_fallbacks, 1u) << "only the mem_stress load";
+  // Busy cores of the five factorised loads: 2 + 2 + 2 + 1 + 0.
+  EXPECT_EQ(stats.core_measurements + stats.core_hits, 7u);
+}
+
+TEST(Factorisation, ReusesPerCoreMeasurementsAcrossLoads) {
+  ThroughputSampler sampler(ChipConfig{}, fast_options());
+  const ChipLoad first = load_of({{0, on(isa::kKernelHpcMixed)},
+                                  {2, on(isa::kKernelFpuStress)}});
+  const ChipLoad second = load_of({{0, on(isa::kKernelHpcMixed)},
+                                   {2, on(isa::kKernelIntStress)}});
+  (void)sampler.sample(first);
+  EXPECT_EQ(sampler.stats().core_measurements, 2u);
+  EXPECT_EQ(sampler.stats().core_hits, 0u);
+  const SampleResult& rates = sampler.sample(second);
+  EXPECT_EQ(sampler.stats().misses, 2u) << "chip-level counting is unchanged";
+  EXPECT_EQ(sampler.stats().core_measurements, 3u);
+  EXPECT_EQ(sampler.stats().core_hits, 1u);
+  EXPECT_EQ(rates, sampler.measure_full_chip(second));
+}
+
+TEST(Factorisation, IdleCoresAreNeverSimulated) {
+  ThroughputSampler sampler(ChipConfig{}, fast_options());
+  (void)sampler.sample(load_of({{3, on(isa::kKernelHpcMixed)}}));
+  (void)sampler.sample(ChipLoad{});
+  EXPECT_EQ(sampler.stats().core_measurements, 1u);
+  EXPECT_EQ(sampler.stats().full_chip_fallbacks, 0u);
+}
+
+TEST(Factorisation, FailedCertificateFallsBackToTheFullChip) {
+  ChipLoad stacked;
+  for (std::uint32_t ctx = 0; ctx < 16; ++ctx) {
+    stacked.contexts[ctx] = on(isa::kKernelHpcMixed);
+  }
+  ThroughputSampler sampler(chip_with_cores(8),
+                            ThroughputSampler::Options{.warmup_cycles = 1000,
+                                                       .window_cycles = 4000,
+                                                       .seed = 1});
+  const SampleResult result = sampler.sample(stacked);
+  EXPECT_EQ(sampler.stats().full_chip_fallbacks, 1u);
+  EXPECT_EQ(sampler.stats().core_measurements, 0u);
+  EXPECT_EQ(result, sampler.measure_full_chip(stacked));
+}
+
+TEST(ChipLoad, CoreKeyFoldsTheCoreIndex) {
+  const ChipLoad load = load_of({{0, on(isa::kKernelHpcMixed)},
+                                 {2, on(isa::kKernelHpcMixed)}});
+  EXPECT_NE(load.core_key(0, 2), load.core_key(1, 2));
+  EXPECT_NE(load.core_key(0, 2), load.core_key(0, 2, 0x1234));
+  EXPECT_EQ(load.core_key(0, 2),
+            load_of({{0, on(isa::kKernelHpcMixed)}}).core_key(0, 2))
+      << "other cores' contexts do not enter a core's key";
+}
+
+TEST(ChipLoad, CoreKeySeparatesCoreFromPriority) {
+  // Regression: a per-core key seeded with chain_seed(core + 1) XOR-ed the
+  // core into the same word as the context's low (priority) bits, so core
+  // 0 at priority 6 collided with core 1 at priority 5 (1^6 == 2^5) and a
+  // sampler served one load's rates for the other.
+  const ChipLoad core0 =
+      load_of({{0, on(isa::kKernelHpcMixed, HwPriority::kHigh)}});
+  const ChipLoad core1 =
+      load_of({{2, on(isa::kKernelHpcMixed, HwPriority::kMediumHigh)}});
+  EXPECT_NE(core0.core_key(0, 2), core1.core_key(1, 2));
+
+  ThroughputSampler sampler(ChipConfig{}, fast_options());
+  const ChipLoad both_a =
+      load_of({{0, on(isa::kKernelHpcMixed, HwPriority::kHigh)},
+               {1, on(isa::kKernelSpinWait)}});
+  const ChipLoad both_b =
+      load_of({{2, on(isa::kKernelHpcMixed, HwPriority::kMediumHigh)},
+               {3, on(isa::kKernelSpinWait)}});
+  EXPECT_EQ(sampler.sample(both_a), sampler.measure_full_chip(both_a));
+  EXPECT_EQ(sampler.sample(both_b), sampler.measure_full_chip(both_b));
+  EXPECT_EQ(sampler.stats().core_hits, 0u);
 }
 
 }  // namespace
