@@ -1,7 +1,11 @@
 // Multi-node cluster engine: M nodes, each with its own smt::Chip +
 // os::KernelModel, coupled by cross-node messages priced through
-// cluster::Interconnect and driven by the same mpisim::detail::Sim event
-// loop as the flat engine.
+// cluster::Interconnect. ClusterEngine is an overlay on mpisim::Engine,
+// which owns the nodes, the event loop and every EngineControl actuation;
+// this class adds only what is specific to clusters: per-node chips derived
+// from ClusterConfig::NodeShape and their samplers, interconnect pricing
+// of messages and migrations (with per-node migration counters), the
+// comm-graph observer, and the NodeStats aggregation.
 //
 // Every node starts from the same base configuration (ClusterConfig.node)
 // — the paper's cluster-of-identical-OpenPower-710s scenario — and nodes
@@ -12,10 +16,10 @@
 // for all of them; differently-shaped nodes get their own samplers (one
 // per distinct shape) attached to the base sampler's shared cache, which
 // is collision-safe because ChipLoad keys fold in the chip shape
-// (smt::chip_shape_seed). A cluster of M=1 — or any all-default-shape
-// cluster — takes exactly the homogeneous path through the simulation
-// core and reproduces its results bit-for-bit (tests/cluster_test.cpp and
-// tests/cluster_hetero_test.cpp lock this in).
+// (smt::chip_shape_seed). A cluster of M=1 reproduces the flat engine
+// bit-for-bit: the overlay's cost model, observer and policy context
+// change nothing at one node (tests/cluster_test.cpp and the simcheck
+// flat-vs-cluster differential lock this in).
 #pragma once
 
 #include <memory>
@@ -134,7 +138,7 @@ struct ClusterRunResult {
   ClusterRunResult& operator=(const ClusterRunResult&) = delete;
 };
 
-class ClusterEngine final : public mpisim::EngineControl {
+class ClusterEngine final : public mpisim::Engine {
  public:
   ClusterEngine(mpisim::Application app, ClusterPlacement placement,
                 ClusterConfig config = {});
@@ -146,16 +150,10 @@ class ClusterEngine final : public mpisim::EngineControl {
                 ClusterConfig config,
                 std::shared_ptr<smt::ThroughputSampler> sampler);
 
-  /// Installs a balancing policy (non-owning; must outlive run()). The
+  /// Runs the application to completion (mpisim::Engine::run) and adds the
+  /// per-node aggregates. May be called once per engine. The installed
   /// policy sees global rank ids and the within-node placement; per-node
   /// policies go through cluster::TwoLevelBalancer.
-  void set_policy(mpisim::BalancePolicy* policy) { policy_ = policy; }
-
-  /// Attaches an additional observer to the run's bus (non-owning; must
-  /// outlive run()). Must be called before run().
-  void add_observer(mpisim::SimObserver* observer);
-
-  /// Runs the application to completion. May be called once per engine.
   ClusterRunResult run();
 
   /// Summed counters of the samplers this engine built for node shapes
@@ -164,62 +162,10 @@ class ClusterEngine final : public mpisim::EngineControl {
   /// samplers' stats must add these to count every measurement.
   [[nodiscard]] smt::SamplerStats shape_sampler_stats() const;
 
-  // --- EngineControl (global rank ids) ---------------------------------------
-  void set_rank_priority(RankId rank, int priority) override;
-  [[nodiscard]] int rank_priority(RankId rank) const override;
-  /// The *within-node* placement (cluster policies additionally consult
-  /// node_of_rank()).
-  [[nodiscard]] const mpisim::Placement& placement() const override {
-    return placement_.within;
-  }
-  [[nodiscard]] std::size_t num_ranks() const override { return app_.size(); }
-  /// Node 0's kernel — EngineControl predates multi-node; use
-  /// node_kernel() for a specific node.
-  [[nodiscard]] os::KernelModel& kernel() override { return *kernels_[0]; }
-  /// The *base* chip's SMT width; heterogeneous-aware policies use
-  /// threads_per_core_of(node).
-  [[nodiscard]] std::uint32_t threads_per_core() const override {
-    return config_.node.chip.threads_per_core();
-  }
-  [[nodiscard]] std::uint32_t num_nodes() const override {
-    return config_.num_nodes;
-  }
-  [[nodiscard]] std::uint32_t threads_per_core_of(
-      std::uint32_t node) const override;
-  [[nodiscard]] std::uint32_t num_cores_of(std::uint32_t node) override;
-  [[nodiscard]] std::uint32_t node_of(RankId rank) const override;
-  /// Within-node moves only: the target seat must be free on the rank's
-  /// hosting node (cross-node moves go through migrate_rank).
-  void move_rank(RankId rank, CpuId to) override;
-  /// Same-node pairs only; throws a value-bearing error on a cross-node
-  /// pair.
-  void swap_ranks(RankId a, RankId b) override;
-  /// Cross-node rank migration: hands the process over between the node
-  /// kernels (priority travels by rewrite), reseats the rank in the
-  /// simulation core, and stalls it while its resident state crosses the
-  /// interconnect (MigrationCostModel). Same-node targets degrade to
-  /// move_rank.
-  void migrate_rank(RankId rank, std::uint32_t node, CpuId to) override;
   /// The run's accumulated rank-to-rank traffic (CommGraphObserver);
   /// empty before run().
   [[nodiscard]] const CommGraph* comm_graph() const override {
     return &comm_observer_.graph();
-  }
-  void install_budgets(int per_node_budget) override;
-  void transfer_budget(std::uint32_t from, std::uint32_t to,
-                       int amount) override;
-  [[nodiscard]] int node_budget(std::uint32_t node) const override;
-
-  [[nodiscard]] os::KernelModel& node_kernel(std::uint32_t node) {
-    return *kernels_[node];
-  }
-  /// Node `node`'s derived chip configuration (== config().node.chip on a
-  /// homogeneous cluster).
-  [[nodiscard]] const smt::ChipConfig& node_chip(std::uint32_t node) const {
-    return chips_[node];
-  }
-  [[nodiscard]] const std::vector<std::uint32_t>& node_of_rank() const {
-    return placement_.node_of_rank;
   }
   [[nodiscard]] const ClusterConfig& config() const { return config_; }
   /// The live link-contention state (read-only) — lets invariant checkers
@@ -229,24 +175,24 @@ class ClusterEngine final : public mpisim::EngineControl {
   }
 
  private:
-  /// Throws a value-bearing InvalidArgument unless `rank` is in range.
-  void check_rank(RankId rank, const char* who) const;
-  /// Sum of effective priority levels over `node`'s engaged contexts.
-  [[nodiscard]] int priority_sum(std::uint32_t node) const;
+  /// Validates `config` and derives each node's chip and sampler. Nodes
+  /// with the base chip share `sampler`, so a load measured on any of them
+  /// is memoised for all of them. Each distinct overridden shape gets its
+  /// own sampler (measure() runs on that shape's chip), attached to the
+  /// base sampler's shared cache — shape-folded keys keep the share
+  /// collision-free.
+  static Nodes derive_nodes(const ClusterConfig& config,
+                            std::shared_ptr<smt::ThroughputSampler> sampler);
+  /// Intra-node transfers through the node network, cross-node ones
+  /// through the contended interconnect.
+  std::unique_ptr<mpisim::MessageCostModel> make_cost_model() override;
+  mpisim::SimObserver* overlay_observer() override { return &comm_observer_; }
+  /// The resident state rides the interconnect (MigrationCostModel); the
+  /// source node's counters record the migration.
+  SimTime migration_landing(SimTime now, std::uint32_t from_node,
+                            std::uint32_t to_node) override;
 
-  mpisim::Application app_;
-  ClusterPlacement placement_;
   ClusterConfig config_;
-  /// Derived per-node chips (chips_[n] == config_.node_chip(n)).
-  std::vector<smt::ChipConfig> chips_;
-  std::shared_ptr<smt::ThroughputSampler> sampler_;
-  /// One sampler per *distinct* node chip; samplers_[0] == sampler_ (the
-  /// base chip's). Extra shapes attach to sampler_'s shared cache — safe
-  /// across shapes because keys fold in smt::chip_shape_seed.
-  std::vector<std::shared_ptr<smt::ThroughputSampler>> samplers_;
-  /// chips_[n]'s sampler, indexed by node.
-  std::vector<smt::ThroughputSampler*> sampler_of_node_;
-  std::vector<std::unique_ptr<os::KernelModel>> kernels_;
   Interconnect interconnect_;
   MigrationCostModel migration_cost_;
   CommGraphObserver comm_observer_;
@@ -258,16 +204,6 @@ class ClusterEngine final : public mpisim::EngineControl {
     SimTime stall = 0.0;
   };
   std::vector<MigrationCounters> migration_of_node_;
-  mpisim::BalancePolicy* policy_ = nullptr;
-  std::vector<mpisim::SimObserver*> observers_;
-  std::vector<Pid> pid_of_rank_;
-  /// Per-node priority-weight budgets; empty until install_budgets().
-  std::vector<int> budgets_;
-  bool ran_ = false;
-  /// Set while run() is live so set_rank_priority can notify the bus with
-  /// the current simulation time and invalidate cached rates.
-  mpisim::detail::Sim* sim_ = nullptr;
-  mpisim::ObserverBus* active_bus_ = nullptr;
 };
 
 }  // namespace smtbal::cluster

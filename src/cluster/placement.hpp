@@ -61,8 +61,8 @@ struct ClusterPlacement {
   /// Heterogeneous form: node n's chip has contexts_of_node[n] contexts
   /// and tpc_of_node[n] SMT slots per core (the two vectors must agree in
   /// length — that length is the node count). Each rank's seat is checked
-  /// against its *own* node's shape; the uniform overload above delegates
-  /// here.
+  /// against its *own* node's shape (mpisim::Placement::validate); the
+  /// uniform overload above delegates here.
   void validate(const std::vector<std::uint32_t>& contexts_of_node,
                 const std::vector<std::uint32_t>& tpc_of_node) const;
 };

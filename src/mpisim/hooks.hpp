@@ -31,7 +31,7 @@
 //     1410.6824).
 // The widened calls are virtual with throwing/neutral defaults so narrow
 // control adapters (e.g. the two-level balancer's per-node view) keep
-// compiling; both engines override the full surface.
+// compiling; mpisim::Engine, the one engine, overrides the full surface.
 #pragma once
 
 #include <cstdint>

@@ -1,6 +1,9 @@
 #include "mpisim/phase.hpp"
 
 #include <map>
+#include <set>
+#include <sstream>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -112,6 +115,57 @@ Placement Placement::from_linear(const std::vector<std::uint32_t>& cpus,
                                           ThreadSlot{linear % slots_per_core}});
   }
   return placement;
+}
+
+void Placement::validate(const std::vector<std::uint32_t>& node_of_rank,
+                         const std::vector<std::uint32_t>& contexts_of_node,
+                         const std::vector<std::uint32_t>& tpc_of_node) const {
+  SMTBAL_REQUIRE(contexts_of_node.size() == tpc_of_node.size(),
+                 "Placement::validate: contexts_of_node and tpc_of_node "
+                 "must agree in length");
+  const std::uint32_t num_nodes =
+      static_cast<std::uint32_t>(contexts_of_node.size());
+  if (node_of_rank.size() != cpu_of_rank.size()) {
+    std::ostringstream os;
+    os << "placement maps disagree: node_of_rank has " << node_of_rank.size()
+       << " ranks but within-node placement has " << cpu_of_rank.size();
+    throw InvalidArgument(os.str());
+  }
+  std::set<std::pair<std::uint32_t, std::uint32_t>> seats;
+  for (std::size_t r = 0; r < node_of_rank.size(); ++r) {
+    const std::uint32_t node = node_of_rank[r];
+    if (node >= num_nodes) {
+      std::ostringstream os;
+      os << "rank " << r << " placed on node " << node
+         << " but the cluster has " << num_nodes << " node(s)";
+      throw InvalidArgument(os.str());
+    }
+    // linear() folds an out-of-range slot onto another core's context
+    // (e.g. core 0 slot 2 == core 1 slot 0 at 2-way SMT); such a
+    // placement would silently double-book that seat, so reject the
+    // alias before the linear-range check can miss it.
+    if (cpu_of_rank[r].slot.value() >= tpc_of_node[node]) {
+      std::ostringstream os;
+      os << "rank " << r << " placed on SMT slot "
+         << cpu_of_rank[r].slot.value() << " but node " << node
+         << " cores are " << tpc_of_node[node] << "-way";
+      throw InvalidArgument(os.str());
+    }
+    const std::uint32_t lin = cpu_of_rank[r].linear(tpc_of_node[node]);
+    if (lin >= contexts_of_node[node]) {
+      std::ostringstream os;
+      os << "rank " << r << " placed on within-node CPU " << lin
+         << " but node " << node << " has " << contexts_of_node[node]
+         << " context(s)";
+      throw InvalidArgument(os.str());
+    }
+    if (!seats.emplace(node, lin).second) {
+      std::ostringstream os;
+      os << "ranks collide on node " << node << " CPU " << lin
+         << " (one MPI rank per context)";
+      throw InvalidArgument(os.str());
+    }
+  }
 }
 
 }  // namespace smtbal::mpisim

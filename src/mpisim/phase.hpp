@@ -111,6 +111,15 @@ struct Placement {
   /// core0/slot0, rank 1 on core1/slot0, rank 2 on core1/slot1, ...
   static Placement from_linear(const std::vector<std::uint32_t>& cpus,
                                std::uint32_t slots_per_core = 2);
+
+  /// The one placement check, shared by Engine and ClusterPlacement: this
+  /// map and `node_of_rank` agree in length, every node index is in range,
+  /// every seat fits its node's chip (contexts_of_node[n] contexts,
+  /// tpc_of_node[n]-way cores), and no two ranks share a (node, CPU) seat.
+  /// Throws InvalidArgument naming the rank.
+  void validate(const std::vector<std::uint32_t>& node_of_rank,
+                const std::vector<std::uint32_t>& contexts_of_node,
+                const std::vector<std::uint32_t>& tpc_of_node) const;
 };
 
 }  // namespace smtbal::mpisim

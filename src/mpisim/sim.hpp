@@ -75,7 +75,7 @@ class NetworkCostModel final : public MessageCostModel {
 
 namespace detail {
 
-/// One simulated node, owned by the caller (Engine or ClusterEngine).
+/// One simulated node, owned by the Engine.
 /// The Sim reads the chip config, samples rates through the sampler and
 /// queries/mutates the kernel's process table; all three must outlive the
 /// run.
@@ -127,7 +127,7 @@ class Sim final : public CollectiveClient, public AuditSource {
   /// changed context words and re-derives the node's rates.
   void notify_placement_change(RankId rank, CpuId from, CpuId to);
 
-  /// ClusterEngine::migrate_rank moved a rank to a (free) seat on another
+  /// Engine::migrate_rank moved a rank to a (free) seat on another
   /// node while the run is live. The engine's node/placement/pid maps are
   /// already flipped; this rebinds the per-node rank lists and context
   /// maps, invalidates the rank's prediction, and — when `resume_at` lies

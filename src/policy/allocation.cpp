@@ -71,19 +71,23 @@ void AllocationPolicy::on_epoch(mpisim::EngineControl& control,
     // LPT: heaviest first onto the least-loaded core with a free seat.
     // Ties break toward the lowest core id, so the packing — and through
     // it the whole run — is deterministic.
-    std::vector<double> load(cores.size(), 0.0);
-    std::vector<std::uint32_t> used(cores.size(), 0);
+    struct Bin {
+      double load = 0.0;
+      std::uint32_t used = 0;
+    };
+    std::vector<Bin> bins(cores.size());
     for (const std::size_t r : order) {
       std::size_t best = cores.size();
       for (std::size_t c = 0; c < cores.size(); ++c) {
-        if (used[c] >= tpc) continue;
-        if (best == cores.size() || load[c] < load[best]) best = c;
+        if (bins[c].used >= tpc) continue;
+        if (best == cores.size() || bins[c].load < bins[best].load) best = c;
       }
       SMTBAL_CHECK(best < cores.size());  // seats >= ranks by construction
-      desired.push_back({RankId{static_cast<std::uint32_t>(r)},
-                         CpuId{CoreId{cores[best]}, ThreadSlot{used[best]}}});
-      load[best] += smoothed_load_[r];
-      ++used[best];
+      desired.push_back(
+          {RankId{static_cast<std::uint32_t>(r)},
+           CpuId{CoreId{cores[best]}, ThreadSlot{bins[best].used}}});
+      bins[best].load += smoothed_load_[r];
+      ++bins[best].used;
     }
   }
   moves_ += apply_seating(control, desired);

@@ -1,15 +1,18 @@
 // Differential checks and the failing-case shrinker.
 //
-// Two differentials, both demanding *bit-identical* observables (exact
+// Three differentials, all demanding *bit-identical* observables (exact
 // double equality — the compared pipelines must perform the same
 // floating-point operations in the same order, so any deviation is a
 // scheduling or caching bug, not roundoff):
 //
 //   * engine vs oracle — the production event-heap engine against the
 //     naive straight-line oracle (oracle.hpp), single-node scenarios;
-//   * flat vs cluster(M=1) — the flat engine against a one-node cluster
-//     wrapping the identical scenario, which must take the same path
-//     through the simulation core;
+//   * flat vs cluster(M=1) — mpisim::Engine against a one-node
+//     cluster::ClusterEngine on the identical scenario. Both run the same
+//     engine, so this guards the cluster overlay against its base: the
+//     ClusterCostModel at one node, the comm-graph observer on the bus,
+//     and policies built with PolicyContext::cluster set must not move a
+//     single result;
 //   * factorised vs full chip — every chip load the oracle sampled,
 //     measured by ThroughputSampler::sample() (core by core wherever the
 //     no-interference certificate holds) against the whole-chip

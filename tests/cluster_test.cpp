@@ -13,6 +13,7 @@
 #include "cluster/workload.hpp"
 #include "common/error.hpp"
 #include "core/dynamic_policy.hpp"
+#include "isa/kernel.hpp"
 #include "mpisim/engine.hpp"
 #include "runner/batch.hpp"
 #include "runner/report.hpp"
@@ -386,6 +387,29 @@ TEST(ClusterEngine, SingleNodeSerialisesIdenticallyToFlat) {
             std::string::npos);
   EXPECT_NE(annotated.find("\"node\":0"), std::string::npos);
   EXPECT_NE(annotated.find("\"nodes\":["), std::string::npos);
+}
+
+TEST(ClusterEngine, BothEnginesRejectBadSeatsAtConstruction) {
+  // The flat engine and a one-node cluster share one placement check, so
+  // each bad seat fails before run(): a duplicate seat, a slot alias
+  // (core 0 slot 2 would fold onto core 1 slot 0 at 2-way SMT), and a CPU
+  // beyond the default 2-core chip.
+  mpisim::Application app;
+  app.ranks.resize(2);
+  const isa::KernelId hpc =
+      isa::KernelRegistry::instance().by_name(isa::kKernelHpcMixed).id;
+  for (mpisim::RankProgram& rank : app.ranks) rank.compute(hpc, 1e6);
+  const std::vector<mpisim::Placement> bad = {
+      mpisim::Placement::from_linear({1, 1}),
+      mpisim::Placement{{CpuId{CoreId{0}, ThreadSlot{0}},
+                         CpuId{CoreId{0}, ThreadSlot{2}}}},
+      mpisim::Placement::from_linear({0, 4})};
+  for (const mpisim::Placement& placement : bad) {
+    EXPECT_THROW(mpisim::Engine flat(app, placement), InvalidArgument);
+    EXPECT_THROW(ClusterEngine one_node(
+                     app, ClusterPlacement::explicit_map({0, 0}, placement)),
+                 InvalidArgument);
+  }
 }
 
 TEST(ClusterParaver, MultiNodeHeaderPlacesRanksOnTheirNodes) {

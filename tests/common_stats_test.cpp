@@ -130,8 +130,8 @@ TEST(Histogram, QuantileOfUniformData) {
 
 TEST(Histogram, QuantileRejectsOutOfRange) {
   Histogram h(0.0, 1.0, 4);
-  EXPECT_THROW(h.quantile(-0.1), InvalidArgument);
-  EXPECT_THROW(h.quantile(1.1), InvalidArgument);
+  EXPECT_THROW((void)h.quantile(-0.1), InvalidArgument);
+  EXPECT_THROW((void)h.quantile(1.1), InvalidArgument);
 }
 
 TEST(Histogram, RenderEmpty) {

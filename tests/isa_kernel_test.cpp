@@ -91,12 +91,12 @@ TEST(KernelRegistry, IdsRoundTrip) {
 }
 
 TEST(KernelRegistry, UnknownNameThrows) {
-  EXPECT_THROW(KernelRegistry::instance().by_name("no-such-kernel"),
+  EXPECT_THROW((void)KernelRegistry::instance().by_name("no-such-kernel"),
                InvalidArgument);
 }
 
 TEST(KernelRegistry, UnknownIdThrows) {
-  EXPECT_THROW(KernelRegistry::instance().get(1000000), InvalidArgument);
+  EXPECT_THROW((void)KernelRegistry::instance().get(1000000), InvalidArgument);
 }
 
 TEST(KernelRegistry, ReregisterIdenticalReturnsSameId) {

@@ -89,7 +89,7 @@ TEST(Hierarchy, SharedL2VisibleFromBothCores) {
 TEST(Hierarchy, RejectsBadCoreIndex) {
   Hierarchy h(tiny_hierarchy());
   EXPECT_THROW(h.access(2, 0, false), InvalidArgument);
-  EXPECT_THROW(h.l1d(2), InvalidArgument);
+  EXPECT_THROW((void)h.l1d(2), InvalidArgument);
 }
 
 TEST(Hierarchy, ResetClearsEverything) {

@@ -163,9 +163,13 @@ TEST(Engine, RejectsTwoRanksOnOneCpu) {
   app.ranks.resize(2);
   app.ranks[0].compute(kid(), 1e6);
   app.ranks[1].compute(kid(), 1e6);
-  Engine engine(app, Placement::from_linear({1, 1}), fast_config(),
-                shared_sampler());
-  EXPECT_THROW(engine.run(), InvalidArgument);
+  EXPECT_THROW(
+      {
+        Engine engine(app, Placement::from_linear({1, 1}), fast_config(),
+                      shared_sampler());
+        (void)engine.run();
+      },
+      InvalidArgument);
 }
 
 TEST(Engine, TraceCoversWholeRun) {

@@ -44,7 +44,7 @@ TEST(KernelModel, ExitShutsContextOff) {
 
 TEST(KernelModel, UnknownPidThrows) {
   KernelModel kernel(KernelFlavor::kPatched, chip());
-  EXPECT_THROW(kernel.cpu_of(Pid{12345}), InvalidArgument);
+  EXPECT_THROW((void)kernel.cpu_of(Pid{12345}), InvalidArgument);
 }
 
 // --- or-nop interface privilege enforcement -------------------------------

@@ -210,7 +210,7 @@ TEST(Core, BadSlotThrows) {
   CoreFixture f;
   EXPECT_THROW(f.core.set_priority(ThreadSlot{2}, HwPriority::kMedium),
                InvalidArgument);
-  EXPECT_THROW(f.core.perf(ThreadSlot{5}), InvalidArgument);
+  EXPECT_THROW((void)f.core.perf(ThreadSlot{5}), InvalidArgument);
   EXPECT_THROW(f.core.bind_stream(ThreadSlot{3}, nullptr), InvalidArgument);
 }
 
@@ -353,7 +353,7 @@ TEST(Chip, ConfigCpuMapping) {
   EXPECT_EQ(cfg.cpu(1).slot, ThreadSlot{1});
   EXPECT_EQ(cfg.cpu(2).core, CoreId{1});
   EXPECT_EQ(cfg.cpu(3).slot, ThreadSlot{1});
-  EXPECT_THROW(cfg.cpu(4), InvalidArgument);
+  EXPECT_THROW((void)cfg.cpu(4), InvalidArgument);
 }
 
 TEST(Chip, CoresShareL2) {

@@ -78,8 +78,8 @@ TEST(Privilege, HypervisorCanSetEverything) {
 }
 
 TEST(Priority, FromIntRejectsOutOfRange) {
-  EXPECT_THROW(priority_from_int(-1), InvalidArgument);
-  EXPECT_THROW(priority_from_int(8), InvalidArgument);
+  EXPECT_THROW((void)priority_from_int(-1), InvalidArgument);
+  EXPECT_THROW((void)priority_from_int(8), InvalidArgument);
 }
 
 TEST(Priority, Names) {

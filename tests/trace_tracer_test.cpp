@@ -50,7 +50,7 @@ TEST(Tracer, RejectsBadRank) {
   Tracer tracer(2);
   EXPECT_THROW(tracer.record(RankId{2}, 0.0, 1.0, RankState::kCompute),
                InvalidArgument);
-  EXPECT_THROW(tracer.timeline(RankId{7}), InvalidArgument);
+  EXPECT_THROW((void)tracer.timeline(RankId{7}), InvalidArgument);
 }
 
 TEST(Tracer, StatsFractions) {

@@ -63,8 +63,8 @@ struct ScenarioData {
   mpisim::Application app;
   mpisim::Placement placement;
   mpisim::EngineConfig config{};
-  std::optional<cluster::ClusterPlacement> cluster_placement;
-  std::optional<cluster::ClusterConfig> cluster_config;
+  std::optional<cluster::ClusterPlacement> cluster_placement{};
+  std::optional<cluster::ClusterConfig> cluster_config{};
 };
 
 std::vector<std::shared_ptr<ScenarioData>> build_corpus(bool smoke,
