@@ -139,15 +139,21 @@ smt::ChipLoad cold_load(ColdShape shape) {
   return load;
 }
 
-void BM_SamplerColdMeasurement(benchmark::State& state, ColdShape shape) {
+/// The sampler's default-grade window, and the 500 + 2,000-cycle window
+/// of the fuzzer's and the evaluation service's samplers.
+constexpr smt::ThroughputSampler::Options kDefaultGrade{
+    .warmup_cycles = 30000, .window_cycles = 120000, .seed = 1};
+constexpr smt::ThroughputSampler::Options kFuzzGrade{
+    .warmup_cycles = 500, .window_cycles = 2000, .seed = 1};
+
+void BM_SamplerColdMeasurement(benchmark::State& state, ColdShape shape,
+                               smt::ThroughputSampler::Options options) {
   // One fresh sampler and one cold sample() (a miss) per iteration; the
-  // sampler's construction (about 0.5 ms, mostly the L3 tag array) is
-  // timed too, as every cold lookup on a new worker pays it. Items are the
-  // core-cycles the measurement covers, num_cores x (warm-up + window), so
-  // items/s is simulated core-cycles per second whether the sampler steps
-  // a core, skips it as idle or measures cores one by one.
-  const smt::ThroughputSampler::Options options{
-      .warmup_cycles = 30000, .window_cycles = 120000, .seed = 1};
+  // sampler's construction is timed too, as every cold lookup on a new
+  // worker pays it. Items are the core-cycles the measurement covers,
+  // num_cores x (warm-up + window), so items/s is simulated core-cycles
+  // per second whether the sampler steps a core, skips it as idle or
+  // measures cores one by one.
   const smt::ChipConfig chip;
   const smt::ChipLoad load = cold_load(shape);
   for (auto _ : state) {
@@ -159,14 +165,22 @@ void BM_SamplerColdMeasurement(benchmark::State& state, ColdShape shape) {
                           static_cast<std::int64_t>(options.warmup_cycles +
                                                     options.window_cycles));
 }
-BENCHMARK_CAPTURE(BM_SamplerColdMeasurement, busy_pair, ColdShape::kBusyPair)
+BENCHMARK_CAPTURE(BM_SamplerColdMeasurement, busy_pair, ColdShape::kBusyPair,
+                  kDefaultGrade)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_SamplerColdMeasurement, stalled_pair,
-                  ColdShape::kStalledPair)
+                  ColdShape::kStalledPair, kDefaultGrade)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_SamplerColdMeasurement, idle_chip, ColdShape::kIdleChip)
+BENCHMARK_CAPTURE(BM_SamplerColdMeasurement, idle_chip, ColdShape::kIdleChip,
+                  kDefaultGrade)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_SamplerColdMeasurement, factorised, ColdShape::kFactorised)
+BENCHMARK_CAPTURE(BM_SamplerColdMeasurement, factorised, ColdShape::kFactorised,
+                  kDefaultGrade)
+    ->Unit(benchmark::kMillisecond);
+// A busy pair at fuzz grade: per-measurement fixed costs (sampler
+// construction, cache flush, stream set-up) weigh most here.
+BENCHMARK_CAPTURE(BM_SamplerColdMeasurement, fuzz_grade, ColdShape::kBusyPair,
+                  kFuzzGrade)
     ->Unit(benchmark::kMillisecond);
 
 void BM_SamplerMemoisedLookup(benchmark::State& state) {

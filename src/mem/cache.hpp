@@ -4,9 +4,14 @@
 // decisions and latencies, not values. Write-back/write-allocate policy;
 // dirty evictions are counted but (as on real hardware) their write-back
 // happens off the load's critical path, so they do not add latency.
+//
+// Tag storage is committed lazily, one block of sets at a time on the
+// first fill into it, and flush() is O(1): a line is valid iff its LRU
+// stamp was taken after the last flush. See DESIGN.md §17.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -51,7 +56,8 @@ class Cache {
   /// inclusive-content probes).
   [[nodiscard]] bool probe(std::uint64_t address) const;
 
-  /// Invalidates every line (e.g. between sampling windows).
+  /// Invalidates every line (e.g. between sampling windows) in O(1): tag
+  /// storage is neither touched nor released.
   void flush();
 
   [[nodiscard]] const CacheConfig& config() const { return config_; }
@@ -61,20 +67,36 @@ class Cache {
   /// Number of currently valid lines (for occupancy tests).
   [[nodiscard]] std::uint64_t valid_lines() const;
 
+  /// Blocks of tag storage committed so far: a block holds about 4 KiB
+  /// of consecutive sets and is committed by the first fill into it.
+  [[nodiscard]] std::size_t committed_blocks() const { return committed_; }
+
  private:
+  /// One way of a set. `stamp` is (LRU clock << 1 | dirty); the clock
+  /// never resets, so stamps order lines by recency and a line is valid
+  /// iff stamp >= valid_floor_.
   struct Line {
     std::uint64_t tag = 0;
-    std::uint64_t lru = 0;   // larger = more recently used
-    bool valid = false;
-    bool dirty = false;
+    std::uint64_t stamp = 0;
   };
 
-  [[nodiscard]] std::uint64_t set_index(std::uint64_t address) const;
-  [[nodiscard]] std::uint64_t tag_of(std::uint64_t address) const;
+  /// The ways of `set`, or nullptr while its block is uncommitted.
+  [[nodiscard]] const Line* find_set(std::uint64_t set) const;
+  /// The ways of `set`, committing its block on first use.
+  [[nodiscard]] Line* fill_set(std::uint64_t set);
 
   CacheConfig config_;
-  std::vector<Line> lines_;   // sets_ * associativity, set-major
+  std::uint32_t ways_ = 0;
+  unsigned line_shift_ = 0;      // log2(line_bytes)
+  unsigned set_shift_ = 0;       // log2(num_sets)
+  std::uint64_t set_mask_ = 0;   // num_sets - 1
+  unsigned block_shift_ = 0;     // log2(sets per block)
+  std::uint64_t block_mask_ = 0; // sets per block - 1
+  std::vector<std::unique_ptr<Line[]>> blocks_;
+  std::size_t committed_ = 0;
   std::uint64_t lru_clock_ = 0;
+  /// Smallest stamp of a valid line: (clock at the last flush + 1) << 1.
+  std::uint64_t valid_floor_ = 2;
   CacheStats stats_;
 };
 

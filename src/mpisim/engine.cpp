@@ -371,6 +371,11 @@ RunResult Engine::run() {
     ~ActiveRun() { engine.sim_ = nullptr; }
   } active{*this};
 
+  smt::SamplerStats sampler_before;
+  for (const auto& sampler : nodes_.samplers) {
+    sampler_before += sampler->stats();
+  }
+
   for (std::size_t r = 0; r < app_.size(); ++r) {
     pid_of_rank_.push_back(
         kernels_[node_of_rank_[r]].spawn(placement_.cpu_of_rank[r]));
@@ -406,6 +411,7 @@ RunResult Engine::run() {
   for (const auto& sampler : nodes_.samplers) {
     result.sampler_stats += sampler->stats();
   }
+  result.sampler_stats -= sampler_before;
   result.metrics = metrics_observer.take();
   return result;
 }

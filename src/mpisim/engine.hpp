@@ -83,6 +83,8 @@ struct RunResult {
   double imbalance = 0.0;
   std::uint64_t events = 0;
   std::uint64_t priority_resets = 0;
+  /// This run's own sampler lookups, misses and measurements: samplers
+  /// may be shared across runs, so their lifetime counters are not.
   smt::SamplerStats sampler_stats;
   MetricsReport metrics;
 

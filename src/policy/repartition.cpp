@@ -6,6 +6,7 @@
 #include "cluster/comm_graph.hpp"
 #include "cluster/partition.hpp"
 #include "common/error.hpp"
+#include "mpisim/node_control.hpp"
 #include "mpisim/phase.hpp"
 #include "smt/priority.hpp"
 
@@ -19,53 +20,6 @@ constexpr double kEps = 1e-12;
 /// so chatty small-message pairs attract each other as strongly as bulky
 /// ones (latency-bound traffic is what co-location saves).
 constexpr double kPerMessageBytes = 1024.0;
-
-/// Node-local EngineControl view for the inner balancers, mirroring
-/// TwoLevelBalancer::NodeControl: local rank ids 0..k-1 map onto the
-/// node's global ranks, placement() is the node-local CPU slice.
-class LocalControl final : public mpisim::EngineControl {
- public:
-  LocalControl(mpisim::EngineControl* global,
-               const std::vector<std::size_t>* global_ranks,
-               mpisim::Placement local_placement,
-               std::uint32_t threads_per_core)
-      : global_(global),
-        global_ranks_(global_ranks),
-        placement_(std::move(local_placement)),
-        threads_per_core_(threads_per_core) {}
-
-  void set_rank_priority(RankId rank, int priority) override {
-    global_->set_rank_priority(global_id(rank), priority);
-  }
-  [[nodiscard]] int rank_priority(RankId rank) const override {
-    return global_->rank_priority(global_id(rank));
-  }
-  [[nodiscard]] const mpisim::Placement& placement() const override {
-    return placement_;
-  }
-  [[nodiscard]] std::size_t num_ranks() const override {
-    return global_ranks_->size();
-  }
-  [[nodiscard]] os::KernelModel& kernel() override {
-    return global_->kernel();
-  }
-  /// The *hosting node's* SMT width — nodes may differ on a
-  /// heterogeneous cluster.
-  [[nodiscard]] std::uint32_t threads_per_core() const override {
-    return threads_per_core_;
-  }
-
- private:
-  [[nodiscard]] RankId global_id(RankId local) const {
-    return RankId{
-        static_cast<std::uint32_t>((*global_ranks_)[local.value()])};
-  }
-
-  mpisim::EngineControl* global_;
-  const std::vector<std::size_t>* global_ranks_;
-  mpisim::Placement placement_;
-  std::uint32_t threads_per_core_;
-};
 
 }  // namespace
 
@@ -137,13 +91,8 @@ void RepartitionPolicy::sync_inners(mpisim::EngineControl& control) {
     membership_[n] = std::move(current[n]);
     inners_[n] = std::make_unique<core::DynamicBalancer>(config_.inner);
     if (membership_[n].empty()) continue;
-    mpisim::Placement local;
-    local.cpu_of_rank.reserve(membership_[n].size());
-    for (const std::size_t g : membership_[n]) {
-      local.cpu_of_rank.push_back(within.cpu_of_rank[g]);
-    }
-    LocalControl adapter(&control, &membership_[n], std::move(local),
-                         control.threads_per_core_of(n));
+    mpisim::NodeControl adapter(control, membership_[n], within,
+                                control.threads_per_core_of(n));
     inners_[n]->on_start(adapter);
   }
 }
@@ -154,18 +103,15 @@ void RepartitionPolicy::drive_inners(mpisim::EngineControl& control,
   const mpisim::Placement& within = control.placement();
   for (std::uint32_t n = 0; n < num_nodes_; ++n) {
     if (membership_[n].empty()) continue;
-    mpisim::Placement local;
-    local.cpu_of_rank.reserve(membership_[n].size());
     mpisim::EpochReport slice;
     slice.epoch = report.epoch;
     slice.now = report.now;
     slice.ranks.reserve(membership_[n].size());
     for (const std::size_t g : membership_[n]) {
-      local.cpu_of_rank.push_back(within.cpu_of_rank[g]);
       slice.ranks.push_back(report.ranks[g]);
     }
-    LocalControl adapter(&control, &membership_[n], std::move(local),
-                         control.threads_per_core_of(n));
+    mpisim::NodeControl adapter(control, membership_[n], within,
+                                control.threads_per_core_of(n));
     inners_[n]->on_epoch(adapter, slice);
   }
 }

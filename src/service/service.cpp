@@ -396,6 +396,7 @@ std::string EvalService::trailer() const {
      << ",\"misses\":" << s.store.misses
      << ",\"collisions\":" << s.store.collisions
      << ",\"inserts\":" << s.store.inserts << ",\"loaded\":" << s.store.loaded
+     << ",\"truncated_tails\":" << s.store.truncated_tails
      << ",\"hit_rate\":" << jsonl::json_num(s.store.hit_rate())
      << "},\"sampler\":{\"lookups\":" << s.sampler.lookups
      << ",\"misses\":" << s.sampler.misses

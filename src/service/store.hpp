@@ -20,7 +20,10 @@
 // A corrupted journal line — malformed JSON, a key field that does not
 // re-derive from the stored request, out-of-range numbers — fails open()
 // with an InvalidArgument naming the file and 1-based line number rather
-// than silently serving damaged results.
+// than silently serving damaged results. The one exception is a final
+// line without its newline that does not parse: a write cut short by a
+// crash. open() truncates the file to the last newline and counts it in
+// Stats::truncated_tails. A failed append throws SimulationError.
 #pragma once
 
 #include <cstdint>
@@ -30,6 +33,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 
 #include "service/request.hpp"
 
@@ -54,6 +58,8 @@ class ResultStore {
     std::uint64_t inserts = 0;
     /// Entries reloaded from the journal by open().
     std::uint64_t loaded = 0;
+    /// Cut-short final journal lines that open() dropped from the file.
+    std::uint64_t truncated_tails = 0;
 
     [[nodiscard]] double hit_rate() const {
       const std::uint64_t lookups = hits + misses;
@@ -66,8 +72,9 @@ class ResultStore {
   ResultStore() = default;
 
   /// Binds the store to a journal file: replays every existing entry
-  /// (line-numbered InvalidArgument on corruption), then appends each
-  /// publish. Call at most once, before any lookup/publish.
+  /// (line-numbered InvalidArgument on corruption; a cut-short final line
+  /// is truncated away instead), then appends each publish. Call at most
+  /// once, before any lookup/publish.
   void open(const std::string& path);
 
   /// The payload for `key`, provided the stored canonical request matches
@@ -92,11 +99,19 @@ class ResultStore {
     EvalResult result;
   };
 
+  /// Parses one journal line into its key and entry; throws
+  /// InvalidArgument naming `path`:`line` when it is not a valid entry.
+  static std::pair<std::uint64_t, Entry> parse_entry(const std::string& text,
+                                                     const std::string& path,
+                                                     std::size_t line);
   void append_journal(std::uint64_t key, const Entry& entry);
+  /// Flushes the journal; throws SimulationError if a write failed.
+  void check_journal();
 
   mutable std::mutex mutex_;
   std::unordered_map<std::uint64_t, Entry> entries_;
   std::ofstream journal_;  ///< open only when bound to a file
+  std::string path_;       ///< the journal's path, for error messages
   Stats stats_;
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -83,11 +82,23 @@ SamplerStats& SamplerStats::operator+=(const SamplerStats& other) {
   return *this;
 }
 
+SamplerStats& SamplerStats::operator-=(const SamplerStats& other) {
+  lookups -= other.lookups;
+  misses -= other.misses;
+  shared_hits -= other.shared_hits;
+  local_hits -= other.local_hits;
+  full_chip_fallbacks -= other.full_chip_fallbacks;
+  core_measurements -= other.core_measurements;
+  core_hits -= other.core_hits;
+  return *this;
+}
+
 ThroughputSampler::ThroughputSampler(ChipConfig config, Options options)
     : config_(std::move(config)),
       options_(options),
       shape_seed_(chip_shape_seed(config_)),
-      chip_(config_) {
+      chip_(config_),
+      streams_(config_.num_contexts()) {
   if (config_.num_contexts() > kMaxContexts) {
     throw InvalidArgument(
         "chip has " + std::to_string(config_.num_contexts()) +
@@ -256,18 +267,16 @@ SampleResult ThroughputSampler::measure(const ChipLoad& load) {
 SampleResult ThroughputSampler::measure_full_chip(const ChipLoad& load) {
   chip_.reset();
 
-  // Build one stream per active context. Seeds depend on the context
-  // number only, so the same configuration always measures identically.
+  // Build one stream per active context, in place. Seeds depend on the
+  // context number only, so the same configuration always measures
+  // identically.
   const auto& registry = isa::KernelRegistry::instance();
-  std::vector<std::unique_ptr<isa::StreamGen>> streams(config_.num_contexts());
-
   for (std::uint32_t ctx = 0; ctx < config_.num_contexts(); ++ctx) {
     const CpuId cpu = config_.cpu(ctx);
     const auto& slot = load.contexts[ctx];
     if (slot.has_value()) {
-      streams[ctx] = std::make_unique<isa::StreamGen>(
-          registry.get(slot->kernel), stream_seed(ctx));
-      chip_.bind_stream(cpu, streams[ctx].get());
+      chip_.bind_stream(cpu, &streams_[ctx].emplace(registry.get(slot->kernel),
+                                                    stream_seed(ctx)));
       chip_.set_priority(cpu, slot->priority);
     } else {
       chip_.bind_stream(cpu, nullptr);
@@ -289,7 +298,7 @@ SampleResult ThroughputSampler::measure_full_chip(const ChipLoad& load) {
     result.instr_rate[ctx] = result.ipc[ctx] * config_.frequency_hz();
   }
 
-  // Unbind the local streams before they go out of scope.
+  // Unbind the streams: the next measurement re-creates them in place.
   for (std::uint32_t ctx = 0; ctx < config_.num_contexts(); ++ctx) {
     chip_.bind_stream(config_.cpu(ctx), nullptr);
   }

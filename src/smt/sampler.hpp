@@ -29,6 +29,7 @@
 
 #include "common/rng.hpp"
 #include "isa/kernel.hpp"
+#include "isa/stream.hpp"
 #include "smt/chip.hpp"
 
 namespace smtbal::smt {
@@ -165,6 +166,7 @@ struct SamplerStats {
   std::uint64_t core_hits = 0;
 
   SamplerStats& operator+=(const SamplerStats& other);
+  SamplerStats& operator-=(const SamplerStats& other);
 };
 
 struct SampleCacheStats {
@@ -315,6 +317,8 @@ class ThroughputSampler {
   Options options_;
   std::uint64_t shape_seed_;
   Chip chip_;
+  /// The streams measure_full_chip() binds, one slot per linear context.
+  std::vector<std::optional<isa::StreamGen>> streams_;
   std::unordered_map<std::uint64_t, SampleResult> cache_;
   /// Per-core memo of factorised measurements: ChipLoad::core_key() ->
   /// IPC of that core's threads_per_core() contexts.

@@ -393,5 +393,38 @@ TEST(Engine, RanksWithUnequalPhaseCountsFinishIndependently) {
             result.exec_time * 0.75);
 }
 
+TEST(Engine, SamplerStatsCountOnlyTheRunsOwnLookups) {
+  // Two runs on one shared sampler: the second run's counters must not
+  // include the first run's lookups and measurements.
+  EngineConfig config = fast_config();
+  config.sampler = {.warmup_cycles = 500, .window_cycles = 2000, .seed = 1};
+  const auto sampler =
+      std::make_shared<smt::ThroughputSampler>(config.chip, config.sampler);
+  const auto run_on = [&](std::string_view kernel) {
+    Application app;
+    app.ranks.resize(2);
+    app.ranks[0].compute(kid(kernel), 1e7);
+    app.ranks[1].compute(kid(kernel), 2e7);
+    Engine engine(app, Placement::from_linear({0, 1}), config, sampler);
+    return engine.run();
+  };
+
+  const RunResult first = run_on(isa::kKernelHpcMixed);
+  const smt::SamplerStats after_first = sampler->stats();
+  EXPECT_EQ(first.sampler_stats.lookups, after_first.lookups);
+  EXPECT_EQ(first.sampler_stats.misses, after_first.misses);
+  ASSERT_GT(first.sampler_stats.misses, 0u);
+
+  const RunResult second = run_on(isa::kKernelMemStress);
+  const smt::SamplerStats& after_second = sampler->stats();
+  ASSERT_GT(after_second.misses, after_first.misses);
+  EXPECT_EQ(second.sampler_stats.lookups,
+            after_second.lookups - after_first.lookups);
+  EXPECT_EQ(second.sampler_stats.misses,
+            after_second.misses - after_first.misses);
+  EXPECT_EQ(second.sampler_stats.local_hits,
+            after_second.local_hits - after_first.local_hits);
+}
+
 }  // namespace
 }  // namespace smtbal::mpisim

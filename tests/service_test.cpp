@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -257,6 +258,89 @@ TEST(Store, CorruptedJournalLinesRejectedWithLineNumbers) {
                  "unsupported schema");
 }
 
+/// One valid journal line (without its newline) for `canonical`.
+std::string journal_line(const std::string& canonical) {
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016llx",
+                static_cast<unsigned long long>(canonical_key(canonical)));
+  return R"({"schema":"smtbal.evalstore/1","type":"entry","key":"0x)" +
+         std::string(hex) + R"(","request":")" + canonical +
+         R"(","exec_time":1.5,"imbalance":0.25,"events":3,"priority_resets":0})";
+}
+
+std::string read_file(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+TEST(Store, CutShortFinalLineIsTruncatedAndNextPublishLandsOnACleanLine) {
+  const TempFile journal("cut-short");
+  const std::string first = journal_line("scenario{seed=1} policy{none}");
+  const std::string second = journal_line("scenario{seed=2} policy{none}");
+  {
+    std::ofstream os(journal.path, std::ios::binary);
+    os << first << '\n' << second.substr(0, second.size() / 2);
+  }
+  const std::string canonical = "scenario{seed=3} policy{none}";
+  {
+    ResultStore store;
+    store.open(journal.path.string());
+    EXPECT_EQ(store.size(), 1u);
+    EXPECT_EQ(store.stats().loaded, 1u);
+    EXPECT_EQ(store.stats().truncated_tails, 1u);
+    EXPECT_EQ(read_file(journal.path), first + '\n');
+    store.publish(canonical_key(canonical), canonical,
+                  EvalResult{2.5, 0.125, 7, 1});
+  }
+  ResultStore reloaded;
+  reloaded.open(journal.path.string());
+  EXPECT_EQ(reloaded.size(), 2u);
+  EXPECT_EQ(reloaded.stats().truncated_tails, 0u);
+  const auto hit = reloaded.lookup(canonical_key(canonical), canonical);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(*hit, (EvalResult{2.5, 0.125, 7, 1}));
+}
+
+TEST(Store, CompleteFinalLineWithoutNewlineIsKeptAndTerminated) {
+  const TempFile journal("no-newline");
+  const std::string first = journal_line("scenario{seed=1} policy{none}");
+  {
+    std::ofstream os(journal.path, std::ios::binary);
+    os << first;
+  }
+  const std::string canonical = "scenario{seed=2} policy{none}";
+  {
+    ResultStore store;
+    store.open(journal.path.string());
+    EXPECT_EQ(store.stats().loaded, 1u);
+    EXPECT_EQ(store.stats().truncated_tails, 0u);
+    store.publish(canonical_key(canonical), canonical,
+                  EvalResult{2.5, 0.125, 7, 1});
+  }
+  EXPECT_EQ(read_file(journal.path).find(first + '\n'), 0u);
+  ResultStore reloaded;
+  reloaded.open(journal.path.string());
+  EXPECT_EQ(reloaded.size(), 2u);
+}
+
+TEST(Store, CorruptTerminatedLineFailsEvenBeforeACutShortTail) {
+  const TempFile journal("corrupt-middle");
+  const std::string good = journal_line("scenario{seed=1} policy{none}");
+  {
+    std::ofstream os(journal.path, std::ios::binary);
+    os << good << "\nthis is not json\n" << good.substr(0, 10);
+  }
+  const std::string before = read_file(journal.path);
+  ResultStore store;
+  try {
+    store.open(journal.path.string());
+    FAIL() << "expected InvalidArgument for the corrupt second line";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find(":2:"), std::string::npos) << e.what();
+  }
+  EXPECT_EQ(read_file(journal.path), before);  // nothing truncated
+}
+
 TEST(Store, NearCollisionServedAsMissNeverAsWrongResult) {
   // Two *different* canonical requests forced onto one key — the 2^-64
   // event the stored canonical text guards against. lookup()/publish()
@@ -420,8 +504,9 @@ TEST(Service, TrailerCarriesCacheCountersIncludingEvictions) {
   EXPECT_NE(trailer.find("\"schema\":\"smtbal.evalresp.batch/1\""),
             std::string::npos)
       << trailer;
-  for (const char* field : {"\"evictions\":", "\"peak_size\":", "\"store\":",
-                            "\"rejected\":", "\"deduped\":"}) {
+  for (const char* field :
+       {"\"evictions\":", "\"peak_size\":", "\"store\":", "\"rejected\":",
+        "\"deduped\":", "\"truncated_tails\":"}) {
     EXPECT_NE(trailer.find(field), std::string::npos) << trailer;
   }
 }

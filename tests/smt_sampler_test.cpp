@@ -631,5 +631,34 @@ TEST(ChipLoad, CoreKeySeparatesCoreFromPriority) {
   EXPECT_EQ(sampler.stats().core_hits, 0u);
 }
 
+TEST(ThroughputSampler, ReusedSamplerMeasuresBitIdenticallyToAFreshOne) {
+  // Caches are flushed, not rebuilt, between measurements: 100 unrelated
+  // measurements on one sampler must leave no trace in the next one.
+  const ThroughputSampler::Options options{
+      .warmup_cycles = 500, .window_cycles = 2000, .seed = 1};
+  ChipLoad probe_load;
+  probe_load.contexts[0] = ContextLoad{kid(isa::kKernelHpcMixed), HwPriority::kHigh};
+  probe_load.contexts[1] = ContextLoad{kid(isa::kKernelMemStress), HwPriority::kMedium};
+  probe_load.contexts[2] = ContextLoad{kid(isa::kKernelL2Stress), HwPriority::kLow};
+
+  ThroughputSampler fresh(ChipConfig{}, options);
+  const SampleResult want = fresh.measure_full_chip(probe_load);
+
+  ThroughputSampler reused(ChipConfig{}, options);
+  const auto& kernels = isa::KernelRegistry::instance().all();
+  Rng rng(7);
+  for (int i = 0; i < 100; ++i) {
+    ChipLoad load;
+    for (std::uint32_t ctx = 0; ctx < ChipConfig{}.num_contexts(); ++ctx) {
+      if (rng.chance(0.25)) continue;
+      load.contexts[ctx] = ContextLoad{
+          kernels[rng.below(kernels.size())].id,
+          static_cast<HwPriority>(rng.range(2, 6))};
+    }
+    (void)reused.measure_full_chip(load);
+  }
+  EXPECT_EQ(reused.measure_full_chip(probe_load), want);
+}
+
 }  // namespace
 }  // namespace smtbal::smt
