@@ -1,12 +1,12 @@
 // Ablation: the dynamic per-iteration balancer (the paper's §VIII future
-// work, implemented in core/dynamic_policy) against the static
+// work, implemented in policy/dynamic) against the static
 // assignments on SIESTA — plus MetBench, where the bottleneck is stable
 // and the controller should converge to the paper's case-C optimum on
 // its own.
 #include <iostream>
 
 #include "bench_util.hpp"
-#include "core/dynamic_policy.hpp"
+#include "policy/dynamic.hpp"
 #include "workloads/metbench.hpp"
 #include "workloads/siesta.hpp"
 
@@ -33,29 +33,39 @@ void report(const std::string& name, const mpisim::RunResult& result,
 int main() {
   bench::print_header(
       "Ablation — dynamic wait-gap balancer vs static priority assignments");
-  core::Balancer& balancer = bench::default_balancer();
+  // Every run shares one sampler, so each chip load is measured once.
+  const mpisim::EngineConfig config;
+  const auto sampler = std::make_shared<smt::ThroughputSampler>(
+      config.chip, config.sampler);
+  const auto run = [&](const mpisim::Application& app,
+                       const mpisim::Placement& placement,
+                       mpisim::BalancePolicy* policy = nullptr) {
+    mpisim::Engine engine(app, placement, config, sampler);
+    engine.set_policy(policy);
+    return engine.run();
+  };
 
   {
     std::cout << "\nSIESTA (rotating bottleneck; paired mapping P2,P3|P1,P4):\n";
     const auto app = workloads::build_siesta(workloads::SiestaConfig{});
     const auto paired = mpisim::Placement::from_linear({2, 0, 1, 3});
 
-    const auto baseline = balancer.run(app, paired);
+    const auto baseline = run(app, paired);
     report("no policy (all MEDIUM)      ", baseline, 0.0, 0);
 
-    core::StaticPriorityPolicy best_static({4, 4, 4, 5});  // paper case C
-    const auto static_run = balancer.run(app, paired, &best_static);
+    policy::StaticPriorityPolicy best_static({4, 4, 4, 5});  // paper case C
+    const auto static_run = run(app, paired, &best_static);
     report("best static (paper case C)  ", static_run, baseline.exec_time, 0);
 
-    core::DynamicBalancer dynamic;  // conservative defaults (max gap 1)
-    const auto dynamic_run = balancer.run(app, paired, &dynamic);
+    policy::DynamicBalancer dynamic;  // conservative defaults (max gap 1)
+    const auto dynamic_run = run(app, paired, &dynamic);
     report("dynamic balancer            ", dynamic_run, baseline.exec_time,
            dynamic.adjustments());
 
-    core::DynamicBalancerConfig aggressive;
+    policy::DynamicBalancerConfig aggressive;
     aggressive.max_diff = 2;
-    core::DynamicBalancer dynamic2(aggressive);
-    const auto dynamic2_run = balancer.run(app, paired, &dynamic2);
+    policy::DynamicBalancer dynamic2(aggressive);
+    const auto dynamic2_run = run(app, paired, &dynamic2);
     report("dynamic (max gap 2)         ", dynamic2_run, baseline.exec_time,
            dynamic2.adjustments());
   }
@@ -65,17 +75,17 @@ int main() {
     const auto app = workloads::build_metbench(workloads::MetBenchConfig{});
     const auto placement = mpisim::Placement::identity(4);
 
-    const auto baseline = balancer.run(app, placement);
+    const auto baseline = run(app, placement);
     report("no policy (all MEDIUM)      ", baseline, 0.0, 0);
 
-    core::StaticPriorityPolicy best_static({4, 6, 4, 6});  // paper case C
-    const auto static_run = balancer.run(app, placement, &best_static);
+    policy::StaticPriorityPolicy best_static({4, 6, 4, 6});  // paper case C
+    const auto static_run = run(app, placement, &best_static);
     report("best static (paper case C)  ", static_run, baseline.exec_time, 0);
 
-    core::DynamicBalancerConfig config;
-    config.max_diff = 2;  // MetBench's optimum is a gap of 2
-    core::DynamicBalancer dynamic(config);
-    const auto dynamic_run = balancer.run(app, placement, &dynamic);
+    policy::DynamicBalancerConfig gap2;
+    gap2.max_diff = 2;  // MetBench's optimum is a gap of 2
+    policy::DynamicBalancer dynamic(gap2);
+    const auto dynamic_run = run(app, placement, &dynamic);
     report("dynamic balancer (gap<=2)   ", dynamic_run, baseline.exec_time,
            dynamic.adjustments());
   }

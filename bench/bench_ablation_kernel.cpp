@@ -33,16 +33,16 @@ int main() {
         config.noise.tick_hz = 100.0;
         config.noise_horizon = 500.0;
       }
-      core::Balancer balancer(config);
-
       // The paper's balanced assignment. The vanilla kernel cannot set
       // priorities 5/6 from userspace at all, so it gets the best
       // user-settable approximation (3 on the light workers).
       const bool patched = flavor == os::KernelFlavor::kPatched;
-      core::StaticPriorityPolicy policy(
+      policy::StaticPriorityPolicy policy(
           patched ? std::vector<int>{4, 6, 4, 6} : std::vector<int>{3, 4, 3, 4});
 
-      const auto result = balancer.run(app, placement, &policy);
+      mpisim::Engine engine(app, placement, config);
+      engine.set_policy(&policy);
+      const auto result = engine.run();
       table.add_row({patched ? "patched" : "vanilla",
                      TextTable::num(irq_hz, 0),
                      TextTable::num(result.exec_time, 2),

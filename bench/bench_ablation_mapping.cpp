@@ -1,39 +1,35 @@
 // Ablation: mapping sensitivity. The paper chooses its process-to-core
 // pairings by hand ("this mapping seems reasonable...", §VII-B); the
-// PriorityAdvisor enumerates (mapping x priority) combinations by
-// simulation and ranks them — quantifying how much the pairing itself
+// advisor (policy::advise) enumerates (mapping x priority) combinations
+// by simulation and ranks them — quantifying how much the pairing itself
 // matters for BT-MZ.
 #include <iostream>
 
 #include "bench_util.hpp"
-#include "core/advisor.hpp"
+#include "policy/advisor.hpp"
 #include "workloads/btmz.hpp"
 
 using namespace smtbal;
 
-int main() {
+int main() try {
   bench::print_header("Ablation — mapping and priority search (BT-MZ)");
 
   workloads::BtmzConfig config;
   config.iterations = 24;  // shape-identical, faster to sweep
   const auto app = workloads::build_btmz(config);
 
-  core::Balancer& balancer = bench::default_balancer();
-  core::PriorityAdvisor advisor(balancer);
-
-  core::AdvisorConfig search;
-  search.priority_levels = {4, 5, 6};
   // The three pairings of four ranks over two cores:
   //   P1P2|P3P4 (the default), P1P3|P2P4, P1P4|P2P3 (the paper's pick).
-  search.placements = {{0, 1, 2, 3}, {0, 2, 1, 3}, {0, 2, 3, 1}};
-  search.max_candidates = 3 * 81;
-
-  const auto results = advisor.search(app, search);
+  const std::vector<std::vector<std::uint32_t>> placements{
+      {0, 1, 2, 3}, {0, 2, 1, 3}, {0, 2, 3, 1}};
+  const auto results =
+      policy::advise(app, placements, {4, 5, 6}, runner::BatchRunner{})
+          .ranked;
 
   std::cout << "Top 8 configurations of " << results.size() << ":\n";
   TextTable top({"#", "configuration", "exec (s)", "imbalance %"});
   for (std::size_t i = 0; i < 8 && i < results.size(); ++i) {
-    top.add_row({std::to_string(i + 1), core::describe(results[i]),
+    top.add_row({std::to_string(i + 1), policy::describe(results[i]),
                  TextTable::num(results[i].exec_time, 2),
                  TextTable::pct(results[i].imbalance)});
   }
@@ -42,7 +38,7 @@ int main() {
   std::cout << "\nBottom 3 (what bad choices cost):\n";
   TextTable bottom({"#", "configuration", "exec (s)", "imbalance %"});
   for (std::size_t i = results.size() - 3; i < results.size(); ++i) {
-    bottom.add_row({std::to_string(i + 1), core::describe(results[i]),
+    bottom.add_row({std::to_string(i + 1), policy::describe(results[i]),
                     TextTable::num(results[i].exec_time, 2),
                     TextTable::pct(results[i].imbalance)});
   }
@@ -53,8 +49,8 @@ int main() {
   std::cout << "\nBest configuration per mapping:\n";
   TextTable per_placement({"mapping (linear cpus)", "best exec (s)",
                            "best configuration"});
-  for (const auto& placement : search.placements) {
-    const core::AdvisorCandidate* best = nullptr;
+  for (const auto& placement : placements) {
+    const policy::AdvisorCandidate* best = nullptr;
     for (const auto& candidate : results) {
       bool matches = true;
       for (std::size_t r = 0; r < placement.size(); ++r) {
@@ -73,7 +69,7 @@ int main() {
     }
     key += "]";
     per_placement.add_row({key, TextTable::num(best->exec_time, 2),
-                           core::describe(*best)});
+                           policy::describe(*best)});
   }
   std::cout << per_placement.render();
   std::cout << "\nThe paper's pairing (P1,P4 together: mapping [0,2,3,1])\n"
@@ -81,4 +77,7 @@ int main() {
                "lightest rank so it can be favored without creating a new\n"
                "bottleneck (paper SVII-B).\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << '\n';
+  return 1;
 }

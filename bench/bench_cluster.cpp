@@ -28,10 +28,10 @@
 
 #include <cmath>
 
-#include "cluster/balancer.hpp"
 #include "cluster/engine.hpp"
 #include "cluster/workload.hpp"
 #include "policy/repartition.hpp"
+#include "policy/two_level.hpp"
 #include "runner/batch.hpp"
 #include "runner/report.hpp"
 #include "smt/sampler.hpp"
@@ -60,8 +60,8 @@ cluster::ClusterConfig cluster_config() {
   return config;
 }
 
-cluster::TwoLevelBalancerConfig balancer_config(int max_node_boost) {
-  cluster::TwoLevelBalancerConfig config;
+policy::TwoLevelBalancerConfig balancer_config(int max_node_boost) {
+  policy::TwoLevelBalancerConfig config;
   config.inner.max_diff = 1;
   config.max_node_boost = max_node_boost;
   return config;
@@ -106,9 +106,9 @@ int main(int argc, char** argv) try {
     cluster::SkewedCluster skew = cluster::make_skewed_cluster(workload);
     cluster::ClusterEngine engine(std::move(skew.app), skew.placement,
                                   cluster_cfg, sampler);
-    std::optional<cluster::TwoLevelBalancer> policy;
+    std::optional<policy::TwoLevelBalancer> policy;
     if (boost >= 0) {
-      policy.emplace(skew.placement, balancer_config(boost));
+      policy.emplace(balancer_config(boost));
       engine.set_policy(&*policy);
     }
     CaseResult run;
@@ -204,7 +204,7 @@ int main(int argc, char** argv) try {
                             : cluster::make_time_varying_cluster(varying);
       cluster::ClusterEngine engine(std::move(built.app), built.placement,
                                     mig_cfg, mig_sampler);
-      std::optional<cluster::TwoLevelBalancer> two_level_policy;
+      std::optional<policy::TwoLevelBalancer> two_level_policy;
       std::optional<policy::RepartitionPolicy> repartition_policy;
       if (scheme == "repartition") {
         policy::RepartitionConfig rep;
@@ -215,9 +215,8 @@ int main(int argc, char** argv) try {
         repartition_policy.emplace(rep);
         engine.set_policy(&*repartition_policy);
       } else {
-        two_level_policy.emplace(built.placement,
-                                 balancer_config(scheme == "two-level" ? 1
-                                                                       : 0));
+        two_level_policy.emplace(
+            balancer_config(scheme == "two-level" ? 1 : 0));
         engine.set_policy(&*two_level_policy);
       }
       MigRun run;

@@ -3,6 +3,8 @@
 // (a) runs everything at the default priority; part (b) gives P1 one
 // extra priority level, shrinking its execution time and the whole
 // application's.
+//
+//   $ ./bench_fig1_synthetic [--jobs N] [--json FILE]
 #include <iostream>
 
 #include "bench_util.hpp"
@@ -10,13 +12,14 @@
 
 using namespace smtbal;
 
-int main() {
+int main(int argc, char** argv) try {
+  const auto cli = runner::parse_cli(argc, argv);
   bench::print_header(
       "Figure 1 — Expected effect of the proposed solution (synthetic)");
 
   const auto app = workloads::build_fig1(workloads::Fig1Config{});
   const auto outcomes =
-      bench::run_paper_cases(app, workloads::fig1_cases());
+      bench::run_paper_cases_batch(app, workloads::fig1_cases(), cli);
 
   bench::print_characterization(outcomes);
   bench::print_gantts(outcomes);
@@ -28,4 +31,7 @@ int main() {
                "inside its idle window, and the application finished earlier\n"
                "(compare Figures 1(a) and 1(b) of the paper).\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << '\n';
+  return 1;
 }

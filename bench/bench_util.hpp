@@ -16,8 +16,7 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "core/balancer.hpp"
-#include "core/static_policy.hpp"
+#include "policy/static_priority.hpp"
 #include "runner/batch.hpp"
 #include "runner/report.hpp"
 #include "trace/gantt.hpp"
@@ -38,27 +37,6 @@ struct PaperReference {
   double exec_seconds;   ///< paper-reported execution time
 };
 
-inline core::Balancer& default_balancer() {
-  static core::Balancer balancer{mpisim::EngineConfig{}};
-  return balancer;
-}
-
-/// Runs all cases of a workload and collects reports.
-inline std::vector<CaseOutcome> run_paper_cases(
-    const mpisim::Application& app,
-    const std::vector<workloads::PaperCase>& cases,
-    core::Balancer& balancer = default_balancer()) {
-  std::vector<CaseOutcome> outcomes;
-  for (const workloads::PaperCase& c : cases) {
-    core::StaticPriorityPolicy policy(c.priorities);
-    mpisim::RunResult result = balancer.run(app, c.placement, &policy);
-    trace::CaseReport report = trace::CaseReport::from_trace(
-        c.label, result.trace, c.cores(), c.priorities);
-    outcomes.push_back(CaseOutcome{std::move(report), std::move(result)});
-  }
-  return outcomes;
-}
-
 /// Builds the RunSpec for one paper case (static priorities).
 inline runner::RunSpec paper_case_spec(const mpisim::Application& app,
                                        const workloads::PaperCase& c,
@@ -70,7 +48,7 @@ inline runner::RunSpec paper_case_spec(const mpisim::Application& app,
   spec.config = std::move(config);
   spec.make_policy = [priorities = c.priorities] {
     return std::unique_ptr<mpisim::BalancePolicy>(
-        new core::StaticPriorityPolicy(priorities));
+        new policy::StaticPriorityPolicy(priorities));
   };
   return spec;
 }
@@ -108,8 +86,8 @@ inline std::vector<CaseOutcome> run_case_specs(std::vector<runner::RunSpec> spec
   return outcomes;
 }
 
-/// Parallel drop-in for run_paper_cases: same outcomes, every case runs on
-/// its own worker.
+/// Runs every static-priority case of a paper workload through the batch
+/// runner (run_case_specs).
 inline std::vector<CaseOutcome> run_paper_cases_batch(
     const mpisim::Application& app,
     const std::vector<workloads::PaperCase>& cases,

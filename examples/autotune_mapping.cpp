@@ -2,35 +2,24 @@
 // loads you roughly know; search placements and priorities by simulation
 // before submitting the real job.
 //
-// The 3 x 81 candidate configurations are independent simulations, so
-// instead of the serial PriorityAdvisor loop they are enumerated as
-// RunSpecs and executed through the BatchRunner — same candidates, same
-// winner, any number of workers.
+// The 3 x 81 candidate configurations are independent simulations;
+// policy::advise runs them through the BatchRunner — same candidates,
+// same winner, any number of workers.
 //
 //   $ ./autotune_mapping [--jobs N] [--json FILE] [load1 load2 load3 load4]
-#include <algorithm>
 #include <cstdlib>
 #include <iostream>
-#include <memory>
 #include <vector>
 
-#include "core/advisor.hpp"
-#include "core/balancer.hpp"
-#include "core/static_policy.hpp"
 #include "isa/kernel.hpp"
+#include "policy/advisor.hpp"
 #include "runner/batch.hpp"
 #include "runner/report.hpp"
 
 using namespace smtbal;
 
-int main(int argc, char** argv) {
-  runner::CliOptions cli;
-  try {
-    cli = runner::parse_cli(argc, argv);
-  } catch (const std::exception& e) {
-    std::cerr << e.what() << '\n';
-    return 1;
-  }
+int main(int argc, char** argv) try {
+  const runner::CliOptions cli = runner::parse_cli(argc, argv);
   std::vector<double> loads{1.0, 0.3, 0.8, 0.5};
   if (cli.positional.size() == 4) {
     for (std::size_t i = 0; i < 4; ++i) {
@@ -59,77 +48,27 @@ int main(int argc, char** argv) {
   for (double load : loads) std::cout << ' ' << load;
   std::cout << "\nsearching 3 placements x 3^4 priority vectors...\n\n";
 
-  // Enumerate the same candidate space AdvisorConfig{priority_levels={4,5,6},
-  // placements, max_candidates=3*81} would, one RunSpec per candidate, plus
-  // the identity-mapping default-priority baseline as the final spec.
-  const std::vector<int> levels{4, 5, 6};
-  const std::vector<std::vector<std::uint32_t>> placements{
-      {0, 1, 2, 3}, {0, 2, 1, 3}, {0, 2, 3, 1}};
-
-  std::vector<core::AdvisorCandidate> candidates;
-  std::vector<runner::RunSpec> specs;
-  for (const auto& linear : placements) {
-    const auto placement = mpisim::Placement::from_linear(linear);
-    for (std::size_t v = 0; v < 81; ++v) {
-      std::vector<int> priorities(4);
-      std::size_t code = v;
-      for (std::size_t r = 0; r < 4; ++r) {
-        priorities[r] = levels[code % levels.size()];
-        code /= levels.size();
-      }
-      core::AdvisorCandidate candidate{placement, priorities, 0.0, 0.0};
-      runner::RunSpec spec;
-      spec.label = core::describe(candidate);
-      spec.app = app;
-      spec.placement = placement;
-      spec.make_policy = [priorities] {
-        return std::unique_ptr<mpisim::BalancePolicy>(
-            new core::StaticPriorityPolicy(priorities));
-      };
-      specs.push_back(std::move(spec));
-      candidates.push_back(std::move(candidate));
-    }
+  const policy::AdvisorResult search = policy::advise(
+      app, {{0, 1, 2, 3}, {0, 2, 1, 3}, {0, 2, 3, 1}}, {4, 5, 6},
+      runner::BatchRunner(runner::BatchOptions{.jobs = cli.jobs}));
+  if (!cli.json_path.empty()) {
+    runner::write_jsonl_file(search.batch, cli.json_path);
   }
-  {
-    runner::RunSpec baseline;
-    baseline.label = "baseline";
-    baseline.app = app;
-    baseline.placement = mpisim::Placement::identity(4);
-    specs.push_back(std::move(baseline));
-  }
-
-  const runner::BatchRunner batch_runner(runner::BatchOptions{.jobs = cli.jobs});
-  const runner::BatchResult batch = batch_runner.run(specs);
-  if (!cli.json_path.empty()) runner::write_jsonl_file(batch, cli.json_path);
-  std::cerr << "[batch] " << runner::describe(batch) << '\n';
-  for (const runner::RunOutcome& out : batch.runs) {
-    if (!out.ok) {
-      std::cerr << "candidate " << out.label << " failed: " << out.error << '\n';
-      return 1;
-    }
-  }
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    candidates[i].exec_time = batch.runs[i].result->exec_time;
-    candidates[i].imbalance = batch.runs[i].result->imbalance;
-  }
-  // Stable sort: ties keep enumeration order, so the printed winner is
-  // identical for any worker count.
-  std::stable_sort(candidates.begin(), candidates.end(),
-                   [](const core::AdvisorCandidate& a,
-                      const core::AdvisorCandidate& b) {
-                     return a.exec_time < b.exec_time;
-                   });
+  std::cerr << "[batch] " << runner::describe(search.batch) << '\n';
+  const std::vector<policy::AdvisorCandidate>& candidates = search.ranked;
 
   const auto& best = candidates.front();
   const auto& worst = candidates.back();
-  std::cout << "best:  " << core::describe(best) << "  ("
+  std::cout << "best:  " << policy::describe(best) << "  ("
             << best.exec_time << " s)\n";
-  std::cout << "worst: " << core::describe(worst) << "  ("
+  std::cout << "worst: " << policy::describe(worst) << "  ("
             << worst.exec_time << " s, "
             << worst.exec_time / best.exec_time << "x slower)\n\n";
 
-  // How much of the win comes from the mapping alone?
-  const auto& baseline = *batch.runs.back().result;
+  // How much of the win comes from the mapping alone? The first candidate
+  // enumerated — identity mapping, every rank at the default MEDIUM (4) —
+  // is the untouched reference run.
+  const mpisim::RunResult& baseline = *search.batch.runs.front().result;
   std::cout << "identity mapping, default priorities: " << baseline.exec_time
             << " s\n"
             << "tuned configuration:                  " << best.exec_time
@@ -137,4 +76,7 @@ int main(int argc, char** argv) {
             << (1.0 - best.exec_time / baseline.exec_time) * 100.0
             << "% faster)\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << e.what() << '\n';
+  return 1;
 }

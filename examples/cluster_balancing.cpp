@@ -16,11 +16,11 @@
 #include <iostream>
 #include <string>
 
-#include "cluster/balancer.hpp"
 #include "cluster/engine.hpp"
 #include "cluster/placement.hpp"
 #include "cluster/workload.hpp"
 #include "common/error.hpp"
+#include "policy/two_level.hpp"
 #include "trace/paraver.hpp"
 #include "workloads/drift.hpp"
 #include "workloads/master_worker.hpp"
@@ -93,7 +93,7 @@ Setup make_setup(const std::string& workload, bool hetero) {
 }
 
 cluster::ClusterRunResult run_case(const Setup& setup,
-                                   cluster::TwoLevelBalancer* policy) {
+                                   policy::TwoLevelBalancer* policy) {
   cluster::ClusterEngine engine(setup.app, setup.placement, setup.config);
   if (policy != nullptr) engine.set_policy(policy);
   return engine.run();
@@ -137,10 +137,10 @@ int main(int argc, char** argv) try {
   print_case("all-MEDIUM:", baseline);
 
   // Outer level may widen a lagging node's gap ceiling by one step.
-  cluster::TwoLevelBalancerConfig policy_config;
+  policy::TwoLevelBalancerConfig policy_config;
   policy_config.inner.max_diff = 1;
   policy_config.max_node_boost = 1;
-  cluster::TwoLevelBalancer policy(setup.placement, policy_config);
+  policy::TwoLevelBalancer policy(policy_config);
   const cluster::ClusterRunResult balanced = run_case(setup, &policy);
 
   std::cout << '\n';

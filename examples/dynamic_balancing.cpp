@@ -14,7 +14,7 @@
 #include <memory>
 #include <string>
 
-#include "core/balancer.hpp"
+#include "mpisim/engine.hpp"
 #include "policy/registry.hpp"
 #include "trace/gantt.hpp"
 #include "trace/paraver.hpp"
@@ -72,7 +72,6 @@ int main(int argc, char** argv) {
   // placement moves, budgets — can drive the same run.
   policy::PolicyContext context;
   context.num_ranks = app.size();
-  context.placement = &placement;
   std::unique_ptr<mpisim::BalancePolicy> policy;
   try {
     policy = policy::Registry::instance().make(spec, context);
@@ -81,12 +80,18 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  core::Balancer balancer;
-  const auto baseline = balancer.run(app, placement);
+  // Both runs share one sampler, so each chip load is measured once.
+  const mpisim::EngineConfig engine_config;
+  const auto sampler = std::make_shared<smt::ThroughputSampler>(
+      engine_config.chip, engine_config.sampler);
+  mpisim::Engine reference(app, placement, engine_config, sampler);
+  const auto baseline = reference.run();
   std::cout << "no balancing:     exec " << baseline.exec_time
             << " s, imbalance " << baseline.imbalance * 100 << " %\n";
 
-  const auto balanced = balancer.run(app, placement, policy.get());
+  mpisim::Engine engine(app, placement, engine_config, sampler);
+  engine.set_policy(policy.get());
+  const auto balanced = engine.run();
   std::cout << policy->name() << ": exec " << balanced.exec_time
             << " s, imbalance " << balanced.imbalance * 100 << " % ("
             << (1.0 - balanced.exec_time / baseline.exec_time) * 100.0

@@ -4,10 +4,11 @@
 //
 //   $ ./quickstart
 #include <iostream>
+#include <memory>
 
-#include "core/balancer.hpp"
-#include "core/static_policy.hpp"
 #include "isa/kernel.hpp"
+#include "mpisim/engine.hpp"
+#include "policy/static_priority.hpp"
 #include "trace/gantt.hpp"
 
 using namespace smtbal;
@@ -29,19 +30,25 @@ int main() {
   }
 
   // 2. Pin rank i to CPU i (ranks 0,1 share core 1; ranks 2,3 share
-  //    core 2) and build the simulator facade.
+  //    core 2). Both runs share one throughput sampler, so each distinct
+  //    chip load is cycle-simulated once.
   const auto placement = mpisim::Placement::identity(app.size());
-  core::Balancer balancer;
+  const mpisim::EngineConfig config;  // the paper's POWER5 node
+  const auto sampler =
+      std::make_shared<smt::ThroughputSampler>(config.chip, config.sampler);
 
   // 3. Reference run: every context at the default MEDIUM priority.
-  const auto before = balancer.run(app, placement);
+  mpisim::Engine reference(app, placement, config, sampler);
+  const auto before = reference.run();
   std::cout << "default priorities:  exec " << before.exec_time
             << " s, imbalance " << before.imbalance * 100 << " %\n";
 
   // 4. Balanced run: give the busy ranks more decode slots through the
   //    patched kernel's /proc/<pid>/hmt_priority interface.
-  core::StaticPriorityPolicy policy({4, 6, 4, 6});
-  const auto after = balancer.run(app, placement, &policy);
+  policy::StaticPriorityPolicy policy({4, 6, 4, 6});
+  mpisim::Engine balanced(app, placement, config, sampler);
+  balanced.set_policy(&policy);
+  const auto after = balanced.run();
   std::cout << "priorities {4,6,4,6}: exec " << after.exec_time
             << " s, imbalance " << after.imbalance * 100 << " %\n";
   std::cout << "speedup: " << before.exec_time / after.exec_time << "x\n\n";

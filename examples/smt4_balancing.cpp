@@ -6,10 +6,11 @@
 //
 //   $ ./smt4_balancing
 #include <iostream>
+#include <memory>
 
-#include "core/balancer.hpp"
-#include "core/static_policy.hpp"
 #include "isa/kernel.hpp"
+#include "mpisim/engine.hpp"
+#include "policy/static_priority.hpp"
 #include "trace/gantt.hpp"
 
 using namespace smtbal;
@@ -35,20 +36,24 @@ int main() {
   config.chip.core.threads_per_core = 4;
   const auto placement =
       mpisim::Placement::identity(app.size(), config.chip.threads_per_core());
-  core::Balancer balancer(config);
+  const auto sampler =
+      std::make_shared<smt::ThroughputSampler>(config.chip, config.sampler);
 
   // 3. Reference run: every context at the default MEDIUM priority — the
   //    heavy ranks get 1/4 of their core's decode slice and hold
   //    everyone at the barrier.
-  const auto before = balancer.run(app, placement);
+  mpisim::Engine reference(app, placement, config, sampler);
+  const auto before = reference.run();
   std::cout << "all MEDIUM:            exec " << before.exec_time
             << " s, imbalance " << before.imbalance * 100 << " %\n";
 
   // 4. Balanced run: HIGH (6) for the heavy ranks. In the weighted N-way
   //    slice the heavy context owns 7 of 10 decode cycles and the three
   //    light core-mates 1 each.
-  core::StaticPriorityPolicy policy({4, 6, 4, 4, 4, 6, 4, 4});
-  const auto after = balancer.run(app, placement, &policy);
+  policy::StaticPriorityPolicy policy({4, 6, 4, 4, 4, 6, 4, 4});
+  mpisim::Engine balanced(app, placement, config, sampler);
+  balanced.set_policy(&policy);
+  const auto after = balanced.run();
   std::cout << "heavy ranks at HIGH:   exec " << after.exec_time
             << " s, imbalance " << after.imbalance * 100 << " %\n";
   std::cout << "speedup: " << before.exec_time / after.exec_time << "x\n\n";

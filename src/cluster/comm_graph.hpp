@@ -33,23 +33,15 @@ class CommGraph {
   void reset(std::size_t num_ranks) {
     num_ranks_ = num_ranks;
     edges_.clear();
-    total_bytes_ = 0;
-    total_messages_ = 0;
   }
 
   void record(std::uint32_t src, std::uint32_t dst, std::uint64_t bytes) {
     Edge& edge = edges_[{src, dst}];
     edge.bytes += bytes;
     ++edge.count;
-    total_bytes_ += bytes;
-    ++total_messages_;
   }
 
   [[nodiscard]] std::size_t num_ranks() const { return num_ranks_; }
-  [[nodiscard]] std::uint64_t total_bytes() const { return total_bytes_; }
-  [[nodiscard]] std::uint64_t total_messages() const {
-    return total_messages_;
-  }
 
   /// The directed edge, or a zero edge when the pair never communicated.
   [[nodiscard]] Edge edge(std::uint32_t src, std::uint32_t dst) const {
@@ -68,8 +60,6 @@ class CommGraph {
  private:
   std::size_t num_ranks_ = 0;
   std::map<std::pair<std::uint32_t, std::uint32_t>, Edge> edges_;
-  std::uint64_t total_bytes_ = 0;
-  std::uint64_t total_messages_ = 0;
 };
 
 /// Bus observer feeding a CommGraph from kMsgArrival events. Attached by

@@ -138,7 +138,6 @@ ClusterEngine::ClusterEngine(mpisim::Application app,
                      derive_nodes(config, std::move(sampler))),
       config_(std::move(config)),
       interconnect_(config_.interconnect, config_.num_nodes),
-      migration_cost_(interconnect_, config_.migration),
       migration_of_node_(config_.num_nodes) {}
 
 std::unique_ptr<mpisim::MessageCostModel> ClusterEngine::make_cost_model() {
@@ -148,10 +147,12 @@ std::unique_ptr<mpisim::MessageCostModel> ClusterEngine::make_cost_model() {
 
 SimTime ClusterEngine::migration_landing(SimTime now, std::uint32_t from_node,
                                          std::uint32_t to_node) {
-  const SimTime landed = migration_cost_.arrival_time(now, from_node, to_node);
+  const std::uint64_t bytes = config_.migration.resident_state_bytes;
+  const SimTime landed =
+      bytes == 0 ? now : interconnect_.transfer(now, from_node, to_node, bytes);
   MigrationCounters& counters = migration_of_node_[from_node];
   ++counters.migrations;
-  counters.bytes += config_.migration.resident_state_bytes;
+  counters.bytes += bytes;
   counters.stall += landed - now;
   return landed;
 }

@@ -101,29 +101,6 @@ struct NodeStats {
   SimTime migration_stall = 0.0;
 };
 
-/// Prices one cross-node migration: the rank's resident state rides the
-/// stateful interconnect as a single transfer on the (from, to) path, so
-/// migrations queue behind — and delay — application messages sharing
-/// the links.
-class MigrationCostModel {
- public:
-  MigrationCostModel(Interconnect& interconnect,
-                     const ClusterConfig::MigrationConfig& config)
-      : interconnect_(&interconnect), config_(&config) {}
-
-  /// When the migrating rank's state lands on the target node (>= now).
-  [[nodiscard]] SimTime arrival_time(SimTime now, std::uint32_t from_node,
-                                     std::uint32_t to_node) {
-    if (config_->resident_state_bytes == 0) return now;
-    return interconnect_->transfer(now, from_node, to_node,
-                                   config_->resident_state_bytes);
-  }
-
- private:
-  Interconnect* interconnect_;
-  const ClusterConfig::MigrationConfig* config_;
-};
-
 struct ClusterRunResult {
   /// The flat per-rank result (trace, metrics, exec time, imbalance) —
   /// same shape as a single-node run, rank-indexed globally.
@@ -153,7 +130,8 @@ class ClusterEngine final : public mpisim::Engine {
   /// Runs the application to completion (mpisim::Engine::run) and adds the
   /// per-node aggregates. May be called once per engine. The installed
   /// policy sees global rank ids and the within-node placement; per-node
-  /// policies go through cluster::TwoLevelBalancer.
+  /// policies (policy::TwoLevelBalancer, policy::RepartitionPolicy) slice
+  /// it by node through policy::NodeInners.
   ClusterRunResult run();
 
   /// Summed counters of the samplers this engine built for node shapes
@@ -187,14 +165,15 @@ class ClusterEngine final : public mpisim::Engine {
   /// through the contended interconnect.
   std::unique_ptr<mpisim::MessageCostModel> make_cost_model() override;
   mpisim::SimObserver* overlay_observer() override { return &comm_observer_; }
-  /// The resident state rides the interconnect (MigrationCostModel); the
-  /// source node's counters record the migration.
+  /// The resident state rides the stateful interconnect as one transfer on
+  /// the (from, to) path, so migrations queue behind — and delay —
+  /// application messages sharing the links; the source node's counters
+  /// record the migration.
   SimTime migration_landing(SimTime now, std::uint32_t from_node,
                             std::uint32_t to_node) override;
 
   ClusterConfig config_;
   Interconnect interconnect_;
-  MigrationCostModel migration_cost_;
   CommGraphObserver comm_observer_;
   /// Per-source-node migration accounting, folded into NodeStats by
   /// run().

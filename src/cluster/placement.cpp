@@ -93,17 +93,6 @@ ClusterPlacement ClusterPlacement::explicit_map(
   return placement;
 }
 
-std::vector<std::vector<std::size_t>> ClusterPlacement::ranks_by_node(
-    std::uint32_t num_nodes) const {
-  std::vector<std::vector<std::size_t>> by_node(num_nodes);
-  for (std::size_t r = 0; r < node_of_rank.size(); ++r) {
-    SMTBAL_REQUIRE(node_of_rank[r] < num_nodes,
-                   "ClusterPlacement names a node beyond num_nodes");
-    by_node[node_of_rank[r]].push_back(r);
-  }
-  return by_node;
-}
-
 void ClusterPlacement::validate(std::uint32_t num_nodes,
                                 std::uint32_t contexts_per_node,
                                 std::uint32_t threads_per_core) const {

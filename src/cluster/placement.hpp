@@ -46,12 +46,6 @@ struct ClusterPlacement {
   static ClusterPlacement explicit_map(std::vector<std::uint32_t> node_of_rank,
                                        mpisim::Placement within);
 
-  [[nodiscard]] std::size_t size() const { return node_of_rank.size(); }
-
-  /// Resident ranks per node, ascending within each node.
-  [[nodiscard]] std::vector<std::vector<std::size_t>> ranks_by_node(
-      std::uint32_t num_nodes) const;
-
   /// Structural checks: the two maps agree in length, every node index is
   /// in range, every within-node CPU fits the node's chip, and no two
   /// ranks share a (node, CPU) seat. Throws InvalidArgument.

@@ -117,9 +117,6 @@ class Engine : public EngineControl {
   /// May be called once per Engine.
   RunResult run();
 
-  [[nodiscard]] os::KernelModel& node_kernel(std::uint32_t node) {
-    return kernels_[node];
-  }
   /// Node `node`'s chip configuration.
   [[nodiscard]] const smt::ChipConfig& node_chip(std::uint32_t node) const {
     return nodes_.chips[node];
@@ -133,7 +130,7 @@ class Engine : public EngineControl {
   [[nodiscard]] int rank_priority(RankId rank) const override;
   [[nodiscard]] const Placement& placement() const override { return placement_; }
   [[nodiscard]] std::size_t num_ranks() const override { return app_.size(); }
-  /// Node 0's kernel; node_kernel() names a specific node.
+  /// Node 0's kernel.
   [[nodiscard]] os::KernelModel& kernel() override { return kernels_[0]; }
   /// The base chip's SMT width (EngineConfig.chip).
   [[nodiscard]] std::uint32_t threads_per_core() const override {

@@ -1,11 +1,11 @@
-#include "core/dynamic_policy.hpp"
+#include "policy/dynamic.hpp"
 
 #include <algorithm>
 #include <cmath>
 
 #include "common/error.hpp"
 
-namespace smtbal::core {
+namespace smtbal::policy {
 
 void DynamicBalancerConfig::validate() const {
   SMTBAL_REQUIRE(high_priority >= 2 && high_priority <= 6,
@@ -59,16 +59,16 @@ void DynamicBalancer::apply_gap(mpisim::EngineControl& control,
     prio_second = config_.high_priority;
     prio_first = config_.high_priority + gap;
   }
-  const RankId a{static_cast<std::uint32_t>(first)};
-  const RankId b{static_cast<std::uint32_t>(second)};
-  if (control.rank_priority(a) != prio_first) {
-    control.set_rank_priority(a, prio_first);
-    ++adjustments_;
-  }
-  if (control.rank_priority(b) != prio_second) {
-    control.set_rank_priority(b, prio_second);
-    ++adjustments_;
-  }
+  rewrite(control, first, prio_first);
+  rewrite(control, second, prio_second);
+}
+
+void DynamicBalancer::rewrite(mpisim::EngineControl& control, std::size_t rank,
+                              int priority) {
+  const RankId id{static_cast<std::uint32_t>(rank)};
+  if (control.rank_priority(id) == priority) return;
+  control.set_rank_priority(id, priority);
+  ++adjustments_;
 }
 
 void DynamicBalancer::on_epoch(mpisim::EngineControl& control,
@@ -167,12 +167,8 @@ void DynamicBalancer::balance_wide(mpisim::EngineControl& control,
       prio = r == state.favored ? config_.high_priority
                                 : config_.high_priority - state.gap;
     }
-    const RankId id{static_cast<std::uint32_t>(r)};
-    if (control.rank_priority(id) != prio) {
-      control.set_rank_priority(id, prio);
-      ++adjustments_;
-    }
+    rewrite(control, r, prio);
   }
 }
 
-}  // namespace smtbal::core
+}  // namespace smtbal::policy

@@ -21,7 +21,7 @@
 #include "mpisim/hooks.hpp"
 #include "mpisim/phase.hpp"
 
-namespace smtbal::core {
+namespace smtbal::policy {
 
 struct DynamicBalancerConfig {
   /// Priority of a core's favored rank while a gap is applied.
@@ -63,11 +63,12 @@ class DynamicBalancer final : public mpisim::BalancePolicy {
   /// re-applies priorities. Throws InvalidArgument on an out-of-range
   /// ceiling (same bounds as DynamicBalancerConfig::max_diff).
   void set_max_diff(int max_diff);
-  [[nodiscard]] int max_diff() const { return config_.max_diff; }
 
  private:
   void apply_gap(mpisim::EngineControl& control, std::size_t first,
                  std::size_t second, int gap);
+  /// Sets `rank`'s priority, counting an adjustment only on a change.
+  void rewrite(mpisim::EngineControl& control, std::size_t rank, int priority);
   void balance_wide(mpisim::EngineControl& control, std::uint32_t core,
                     const std::vector<std::size_t>& ranks);
 
@@ -89,4 +90,4 @@ class DynamicBalancer final : public mpisim::BalancePolicy {
   std::uint64_t adjustments_ = 0;
 };
 
-}  // namespace smtbal::core
+}  // namespace smtbal::policy

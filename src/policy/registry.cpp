@@ -5,14 +5,14 @@
 #include <stdexcept>
 #include <utility>
 
-#include "cluster/balancer.hpp"
 #include "common/error.hpp"
-#include "core/dynamic_policy.hpp"
-#include "core/static_policy.hpp"
 #include "policy/allocation.hpp"
 #include "policy/budget.hpp"
+#include "policy/dynamic.hpp"
 #include "policy/ilp_pairing.hpp"
 #include "policy/repartition.hpp"
+#include "policy/static_priority.hpp"
+#include "policy/two_level.hpp"
 
 namespace smtbal::policy {
 
@@ -211,37 +211,9 @@ std::vector<PolicyInfo> Registry::list() const {
 
 namespace {
 
-/// Owns the ClusterPlacement the TwoLevelBalancer captures by reference,
-/// so a registry-built two-level policy is self-contained. For a flat
-/// engine the one-node placement is synthesized from the flat placement
-/// (a cluster of M=1 is exactly the flat machine).
-class TwoLevelAdapter final : public mpisim::BalancePolicy {
- public:
-  TwoLevelAdapter(cluster::ClusterPlacement placement,
-                  cluster::TwoLevelBalancerConfig config)
-      : placement_(std::move(placement)),
-        inner_(std::make_unique<cluster::TwoLevelBalancer>(placement_,
-                                                           config)) {}
-
-  [[nodiscard]] std::string_view name() const override {
-    return inner_->name();
-  }
-  void on_start(mpisim::EngineControl& control) override {
-    inner_->on_start(control);
-  }
-  void on_epoch(mpisim::EngineControl& control,
-                const mpisim::EpochReport& report) override {
-    inner_->on_epoch(control, report);
-  }
-
- private:
-  cluster::ClusterPlacement placement_;
-  std::unique_ptr<cluster::TwoLevelBalancer> inner_;
-};
-
-core::DynamicBalancerConfig dynamic_config_from(ConfigMap& config,
-                                                const std::string& prefix) {
-  core::DynamicBalancerConfig inner;
+DynamicBalancerConfig dynamic_config_from(ConfigMap& config,
+                                          const std::string& prefix) {
+  DynamicBalancerConfig inner;
   inner.high_priority =
       config.get_int(prefix + "high_priority", inner.high_priority);
   inner.max_diff = config.get_int(prefix + "max_diff", inner.max_diff);
@@ -253,13 +225,21 @@ core::DynamicBalancerConfig dynamic_config_from(ConfigMap& config,
   return inner;
 }
 
+/// The dynamic controller's keys and the ranges its config accepts, each
+/// key prefixed with `p` (two-level and repartition use "inner_").
+std::string dynamic_schema(const std::string& p) {
+  return p + "high_priority=<2..6>," + p + "max_diff=<1.." + p +
+         "high_priority-1>," + p + "wait_gap_threshold=<frac>," + p +
+         "smoothing=<0..1>," + p + "warmup_epochs=<n>";
+}
+
 Registry make_default_registry() {
   Registry registry;
   registry.add(
       {"static",
        "the paper's static per-rank priority assignment, installed once "
        "at start",
-       "priorities=<p0/p1/...> (one per rank) | uniform=<1..7> (default 4)"},
+       "priorities=<p0/p1/...> (one per rank) | uniform=<1..6> (default 4)"},
       [](ConfigMap& config, const PolicyContext& context) {
         std::vector<int> priorities = config.get_int_list("priorities");
         const int uniform = config.get_int("uniform", 4);
@@ -271,17 +251,15 @@ Registry make_default_registry() {
               " priorities for " + std::to_string(context.num_ranks) +
               " rank(s)");
         }
-        return std::make_unique<core::StaticPriorityPolicy>(
-            std::move(priorities));
+        return std::make_unique<StaticPriorityPolicy>(std::move(priorities));
       });
   registry.add(
       {"dynamic",
        "per-epoch wait-gap controller stepping each core's priority gap "
        "toward its bottleneck rank",
-       "high_priority=<2..7>,max_diff=<0..6>,wait_gap_threshold=<frac>,"
-       "smoothing=<0..1>,warmup_epochs=<n>"},
+       dynamic_schema("")},
       [](ConfigMap& config, const PolicyContext&) {
-        return std::make_unique<core::DynamicBalancer>(
+        return std::make_unique<DynamicBalancer>(
             dynamic_config_from(config, ""));
       });
   registry.add(
@@ -289,11 +267,10 @@ Registry make_default_registry() {
        "node-level outer loop widening the per-node dynamic balancers' "
        "gap ceiling on lagging nodes",
        "max_node_boost=<n>,node_gap_threshold=<frac>,smoothing=<0..1>,"
-       "warmup_epochs=<n>,inner_high_priority=...,inner_max_diff=...,"
-       "inner_wait_gap_threshold=...,inner_smoothing=...,"
-       "inner_warmup_epochs=..."},
-      [](ConfigMap& config, const PolicyContext& context) {
-        cluster::TwoLevelBalancerConfig two_level;
+       "warmup_epochs=<n>," +
+           dynamic_schema("inner_")},
+      [](ConfigMap& config, const PolicyContext&) {
+        TwoLevelBalancerConfig two_level;
         two_level.inner = dynamic_config_from(config, "inner_");
         two_level.max_node_boost =
             config.get_int("max_node_boost", two_level.max_node_boost);
@@ -303,19 +280,7 @@ Registry make_default_registry() {
             config.get_double("smoothing", two_level.smoothing);
         two_level.warmup_epochs =
             config.get_int("warmup_epochs", two_level.warmup_epochs);
-        cluster::ClusterPlacement placement;
-        if (context.cluster != nullptr) {
-          placement = *context.cluster;
-        } else {
-          SMTBAL_REQUIRE(context.placement != nullptr,
-                         "policy 'two-level' needs a placement in its "
-                         "PolicyContext");
-          placement = cluster::ClusterPlacement::explicit_map(
-              std::vector<std::uint32_t>(context.num_ranks, 0),
-              *context.placement);
-        }
-        return std::make_unique<TwoLevelAdapter>(std::move(placement),
-                                                 two_level);
+        return std::make_unique<TwoLevelBalancer>(two_level);
       });
   registry.add(
       {"ilp-pairing",
@@ -349,10 +314,8 @@ Registry make_default_registry() {
        "fractional load imbalance crosses a threshold; per-node dynamic "
        "balancers retune priorities in between",
        "threshold=<frac>,hysteresis=<frac>,budget=<n>,interval=<n>,"
-       "warmup_epochs=<n>,smoothing=<0..1>,tolerance=<frac>,"
-       "inner_high_priority=...,inner_max_diff=...,"
-       "inner_wait_gap_threshold=...,inner_smoothing=...,"
-       "inner_warmup_epochs=..."},
+       "warmup_epochs=<n>,smoothing=<0..1>,tolerance=<frac>," +
+           dynamic_schema("inner_")},
       [](ConfigMap& config, const PolicyContext&) {
         RepartitionConfig repartition;
         repartition.threshold =

@@ -9,9 +9,9 @@
 // the registered names); unknown keys fail naming the policy's schema.
 //
 // Factories receive a PolicyContext describing the engine the policy
-// will drive — rank count, SMT width, placements — so policies whose
-// constructors need structural knowledge (static's per-rank vector,
-// two-level's ClusterPlacement) can be built from a bare string. The
+// will drive, so policies whose constructors need structural knowledge
+// (static's per-rank vector) can be built from a bare string; everything
+// else a policy needs it reads from the EngineControl at on_start. The
 // tournament harness, the fuzzers and the examples all construct
 // policies exclusively through here, so registering a policy makes it
 // rankable everywhere at once.
@@ -33,12 +33,10 @@ namespace smtbal::policy {
 /// What the factory knows about the engine its policy will drive.
 struct PolicyContext {
   std::size_t num_ranks = 0;
+  /// No factory reads these three; they stay only until the benchmark
+  /// harness (perfbench/src/corpus.cpp) stops setting them.
   std::uint32_t threads_per_core = 2;
-  /// Within-node placement (the flat placement for a flat engine).
   const mpisim::Placement* placement = nullptr;
-  /// Null for a flat (single-node) engine; factories that need a
-  /// ClusterPlacement synthesize the one-node equivalent from
-  /// `placement` in that case.
   const cluster::ClusterPlacement* cluster = nullptr;
 };
 

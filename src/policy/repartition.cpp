@@ -6,7 +6,6 @@
 #include "cluster/comm_graph.hpp"
 #include "cluster/partition.hpp"
 #include "common/error.hpp"
-#include "mpisim/node_control.hpp"
 #include "mpisim/phase.hpp"
 #include "smt/priority.hpp"
 
@@ -37,23 +36,18 @@ void RepartitionConfig::validate() const {
 }
 
 RepartitionPolicy::RepartitionPolicy(RepartitionConfig config)
-    : config_(config) {
+    : config_(config), inners_(config.inner) {
   config_.validate();
 }
 
-RepartitionPolicy::~RepartitionPolicy() = default;
-
 void RepartitionPolicy::on_start(mpisim::EngineControl& control) {
-  num_nodes_ = control.num_nodes();
   smoothed_.assign(control.num_ranks(), 0.0);
   have_loads_ = false;
   armed_ = true;
   epochs_seen_ = 0;
   migrations_done_ = 0;
   waves_ = 0;
-  membership_.clear();
-  inners_.clear();
-  sync_inners(control);
+  inners_.start(control);
 }
 
 void RepartitionPolicy::on_epoch(mpisim::EngineControl& control,
@@ -70,66 +64,27 @@ void RepartitionPolicy::on_epoch(mpisim::EngineControl& control,
   // Inners first: they react to the epoch just observed on the seats the
   // ranks actually occupied during it; a repartition wave then lands on
   // freshly retuned nodes.
-  drive_inners(control, report);
+  inners_.drive(control, report);
   maybe_repartition(control);
 }
 
-void RepartitionPolicy::sync_inners(mpisim::EngineControl& control) {
-  std::vector<std::vector<std::size_t>> current(num_nodes_);
-  for (std::size_t r = 0; r < control.num_ranks(); ++r) {
-    current[control.node_of(RankId{static_cast<std::uint32_t>(r)})]
-        .push_back(r);
-  }
-  membership_.resize(num_nodes_);
-  inners_.resize(num_nodes_);
-  const mpisim::Placement& within = control.placement();
-  for (std::uint32_t n = 0; n < num_nodes_; ++n) {
-    if (inners_[n] != nullptr && membership_[n] == current[n]) continue;
-    // The inner's state (wait averages, per-core gaps) is local-index
-    // based: any membership change invalidates it wholesale, so start a
-    // fresh controller rather than remap.
-    membership_[n] = std::move(current[n]);
-    inners_[n] = std::make_unique<core::DynamicBalancer>(config_.inner);
-    if (membership_[n].empty()) continue;
-    mpisim::NodeControl adapter(control, membership_[n], within,
-                                control.threads_per_core_of(n));
-    inners_[n]->on_start(adapter);
-  }
-}
-
-void RepartitionPolicy::drive_inners(mpisim::EngineControl& control,
-                                     const mpisim::EpochReport& report) {
-  sync_inners(control);
-  const mpisim::Placement& within = control.placement();
-  for (std::uint32_t n = 0; n < num_nodes_; ++n) {
-    if (membership_[n].empty()) continue;
-    mpisim::EpochReport slice;
-    slice.epoch = report.epoch;
-    slice.now = report.now;
-    slice.ranks.reserve(membership_[n].size());
-    for (const std::size_t g : membership_[n]) {
-      slice.ranks.push_back(report.ranks[g]);
-    }
-    mpisim::NodeControl adapter(control, membership_[n], within,
-                                control.threads_per_core_of(n));
-    inners_[n]->on_epoch(adapter, slice);
-  }
-}
-
 void RepartitionPolicy::maybe_repartition(mpisim::EngineControl& control) {
-  if (num_nodes_ < 2) return;
+  const std::vector<std::vector<std::size_t>>& membership =
+      inners_.membership();
+  const auto num_nodes = static_cast<std::uint32_t>(membership.size());
+  if (num_nodes < 2) return;
   const cluster::CommGraph* traffic = control.comm_graph();
   if (traffic == nullptr) return;
   if (epochs_seen_ <= config_.warmup_epochs) return;
   if (epochs_seen_ % config_.interval != 0) return;
 
-  std::vector<double> node_load(num_nodes_, 0.0);
+  std::vector<double> node_load(num_nodes, 0.0);
   double total = 0.0;
-  for (std::uint32_t n = 0; n < num_nodes_; ++n) {
-    for (const std::size_t g : membership_[n]) node_load[n] += smoothed_[g];
+  for (std::uint32_t n = 0; n < num_nodes; ++n) {
+    for (const std::size_t g : membership[n]) node_load[n] += smoothed_[g];
     total += node_load[n];
   }
-  const double mean = total / static_cast<double>(num_nodes_);
+  const double mean = total / static_cast<double>(num_nodes);
   if (mean <= kEps) return;
   const double fli =
       *std::max_element(node_load.begin(), node_load.end()) / mean - 1.0;
@@ -151,8 +106,8 @@ void RepartitionPolicy::maybe_repartition(mpisim::EngineControl& control) {
                    static_cast<double>(edge.bytes) +
                        kPerMessageBytes * static_cast<double>(edge.count));
   });
-  std::vector<std::uint32_t> capacities(num_nodes_, 0);
-  for (std::uint32_t n = 0; n < num_nodes_; ++n) {
+  std::vector<std::uint32_t> capacities(num_nodes, 0);
+  for (std::uint32_t n = 0; n < num_nodes; ++n) {
     capacities[n] = control.num_cores_of(n) * control.threads_per_core_of(n);
   }
   cluster::PartitionOptions options;
@@ -166,14 +121,14 @@ void RepartitionPolicy::maybe_repartition(mpisim::EngineControl& control) {
   // against capacities[p] (= node p), so any permutation must re-check
   // seat feasibility; when the greedy matching cannot seat a part, the
   // identity mapping — feasible by construction — is the fallback.
-  std::vector<std::uint32_t> part_seats(num_nodes_, 0);
+  std::vector<std::uint32_t> part_seats(num_nodes, 0);
   for (std::uint32_t r = 0; r < num_ranks; ++r) {
     ++part_seats[cut.part_of_vertex[r]];
   }
   std::vector<std::vector<std::uint32_t>> overlap(
-      num_nodes_, std::vector<std::uint32_t>(num_nodes_, 0));
-  for (std::uint32_t n = 0; n < num_nodes_; ++n) {
-    for (const std::size_t g : membership_[n]) {
+      num_nodes, std::vector<std::uint32_t>(num_nodes, 0));
+  for (std::uint32_t n = 0; n < num_nodes; ++n) {
+    for (const std::size_t g : membership[n]) {
       ++overlap[cut.part_of_vertex[g]][n];
     }
   }
@@ -183,9 +138,9 @@ void RepartitionPolicy::maybe_repartition(mpisim::EngineControl& control) {
     std::uint32_t node;
   };
   std::vector<Pairing> pairings;
-  pairings.reserve(static_cast<std::size_t>(num_nodes_) * num_nodes_);
-  for (std::uint32_t p = 0; p < num_nodes_; ++p) {
-    for (std::uint32_t n = 0; n < num_nodes_; ++n) {
+  pairings.reserve(static_cast<std::size_t>(num_nodes) * num_nodes);
+  for (std::uint32_t p = 0; p < num_nodes; ++p) {
+    for (std::uint32_t n = 0; n < num_nodes; ++n) {
       pairings.push_back({overlap[p][n], p, n});
     }
   }
@@ -193,9 +148,9 @@ void RepartitionPolicy::maybe_repartition(mpisim::EngineControl& control) {
                    [](const Pairing& a, const Pairing& b) {
                      return a.overlap > b.overlap;
                    });
-  const std::uint32_t unset = num_nodes_;
-  std::vector<std::uint32_t> node_of_part(num_nodes_, unset);
-  std::vector<bool> node_taken(num_nodes_, false);
+  const std::uint32_t unset = num_nodes;
+  std::vector<std::uint32_t> node_of_part(num_nodes, unset);
+  std::vector<bool> node_taken(num_nodes, false);
   for (const Pairing& pair : pairings) {
     if (node_of_part[pair.part] != unset || node_taken[pair.node]) continue;
     if (part_seats[pair.part] > capacities[pair.node]) continue;
@@ -203,10 +158,10 @@ void RepartitionPolicy::maybe_repartition(mpisim::EngineControl& control) {
     node_taken[pair.node] = true;
   }
   bool feasible = true;
-  for (std::uint32_t p = 0; p < num_nodes_ && feasible; ++p) {
+  for (std::uint32_t p = 0; p < num_nodes && feasible; ++p) {
     if (node_of_part[p] != unset) continue;
     std::uint32_t pick = unset;
-    for (std::uint32_t n = 0; n < num_nodes_; ++n) {
+    for (std::uint32_t n = 0; n < num_nodes; ++n) {
       if (!node_taken[n] && part_seats[p] <= capacities[n]) {
         pick = n;
         break;
@@ -220,7 +175,7 @@ void RepartitionPolicy::maybe_repartition(mpisim::EngineControl& control) {
     node_taken[pick] = true;
   }
   if (!feasible) {
-    for (std::uint32_t p = 0; p < num_nodes_; ++p) node_of_part[p] = p;
+    for (std::uint32_t p = 0; p < num_nodes; ++p) node_of_part[p] = p;
   }
 
   std::vector<std::pair<std::uint32_t, std::uint32_t>> pending;  // rank, node
@@ -245,8 +200,8 @@ void RepartitionPolicy::maybe_repartition(mpisim::EngineControl& control) {
   // Multi-round actuation: each round migrates every pending rank whose
   // target node has a free seat; seats freed by this round's moves unlock
   // the next. A cyclic remainder with zero free seats simply stays put.
-  std::vector<std::vector<bool>> seat_used(num_nodes_);
-  for (std::uint32_t n = 0; n < num_nodes_; ++n) {
+  std::vector<std::vector<bool>> seat_used(num_nodes);
+  for (std::uint32_t n = 0; n < num_nodes; ++n) {
     seat_used[n].assign(capacities[n], false);
   }
   const mpisim::Placement& within = control.placement();

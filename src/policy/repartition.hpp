@@ -3,13 +3,13 @@
 //
 // This is the two-level dynamic load balancing direction of HemoCell's
 // LoadBalancer (arXiv 1911.06714) grafted onto the paper's SMT machine:
-// the inner level is the familiar per-node core::DynamicBalancer
-// (hardware priorities retune seats in place), and the outer level
-// watches `calculateFractionalLoadImbalance()`-style node load skew —
-// FLI = max_node_load / mean_node_load − 1 over smoothed per-rank
-// compute — and, when it crosses `threshold`, repartitions the rank
-// graph across nodes with the built-in multilevel partitioner
-// (cluster/partition.hpp), migrating ranks through
+// the inner level is NodeInners, the per-node DynamicBalancers that
+// two-level also drives (hardware priorities retune seats in place),
+// and the outer level watches `calculateFractionalLoadImbalance()`-style
+// node load skew — FLI = max_node_load / mean_node_load − 1 over
+// smoothed per-rank compute — and, when it crosses `threshold`,
+// repartitions the rank graph across nodes with the built-in multilevel
+// partitioner (cluster/partition.hpp), migrating ranks through
 // EngineControl::migrate_rank.
 //
 // Guard rails, each from a failure mode of naive repartitioning:
@@ -28,11 +28,10 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "core/dynamic_policy.hpp"
 #include "mpisim/hooks.hpp"
+#include "policy/node_inners.hpp"
 
 namespace smtbal::policy {
 
@@ -55,7 +54,7 @@ struct RepartitionConfig {
   /// Balance slack handed to the partitioner.
   double tolerance = 0.15;
   /// Per-node inner priority controller.
-  core::DynamicBalancerConfig inner{};
+  DynamicBalancerConfig inner{};
 
   void validate() const;
 };
@@ -63,7 +62,6 @@ struct RepartitionConfig {
 class RepartitionPolicy final : public mpisim::BalancePolicy {
  public:
   explicit RepartitionPolicy(RepartitionConfig config = {});
-  ~RepartitionPolicy() override;
 
   [[nodiscard]] std::string_view name() const override {
     return "repartition";
@@ -73,28 +71,12 @@ class RepartitionPolicy final : public mpisim::BalancePolicy {
   void on_epoch(mpisim::EngineControl& control,
                 const mpisim::EpochReport& report) override;
 
-  /// Migrations actuated so far (counts toward the budget).
-  [[nodiscard]] int migrations() const { return migrations_done_; }
-  /// Repartition waves fired so far.
-  [[nodiscard]] std::uint64_t waves() const { return waves_; }
-
  private:
-  /// Rebuilds membership_ from the engine's current rank-to-node map,
-  /// recreating (and re-starting) inners whose node membership changed —
-  /// their state is local-index-based, so any change invalidates it.
-  void sync_inners(mpisim::EngineControl& control);
-  /// Drives each node's DynamicBalancer on its local slice of the epoch
-  /// report.
-  void drive_inners(mpisim::EngineControl& control,
-                    const mpisim::EpochReport& report);
   /// Evaluates FLI and, when triggered, partitions and migrates.
   void maybe_repartition(mpisim::EngineControl& control);
 
   RepartitionConfig config_;
-  std::uint32_t num_nodes_ = 0;
-  /// Sorted global rank ids per node, as of the last inner drive.
-  std::vector<std::vector<std::size_t>> membership_;
-  std::vector<std::unique_ptr<core::DynamicBalancer>> inners_;
+  NodeInners inners_;
   /// Smoothed per-rank compute seconds per epoch (global rank order).
   std::vector<double> smoothed_;
   bool have_loads_ = false;

@@ -1,8 +1,8 @@
-#include "core/static_policy.hpp"
+#include "policy/static_priority.hpp"
 
 #include "common/error.hpp"
 
-namespace smtbal::core {
+namespace smtbal::policy {
 
 StaticPriorityPolicy::StaticPriorityPolicy(std::vector<int> priorities)
     : priorities_(std::move(priorities)) {
@@ -22,4 +22,4 @@ void StaticPriorityPolicy::on_start(mpisim::EngineControl& control) {
   }
 }
 
-}  // namespace smtbal::core
+}  // namespace smtbal::policy

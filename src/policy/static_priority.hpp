@@ -7,7 +7,7 @@
 
 #include "mpisim/hooks.hpp"
 
-namespace smtbal::core {
+namespace smtbal::policy {
 
 class StaticPriorityPolicy final : public mpisim::BalancePolicy {
  public:
@@ -18,12 +18,8 @@ class StaticPriorityPolicy final : public mpisim::BalancePolicy {
 
   void on_start(mpisim::EngineControl& control) override;
 
-  [[nodiscard]] const std::vector<int>& priorities() const {
-    return priorities_;
-  }
-
  private:
   std::vector<int> priorities_;
 };
 
-}  // namespace smtbal::core
+}  // namespace smtbal::policy

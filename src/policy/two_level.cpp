@@ -1,10 +1,10 @@
-#include "cluster/balancer.hpp"
+#include "policy/two_level.hpp"
 
 #include <algorithm>
 
 #include "common/error.hpp"
 
-namespace smtbal::cluster {
+namespace smtbal::policy {
 
 void TwoLevelBalancerConfig::validate() const {
   inner.validate();
@@ -19,42 +19,24 @@ void TwoLevelBalancerConfig::validate() const {
   SMTBAL_REQUIRE(warmup_epochs >= 0, "warmup_epochs must be >= 0");
 }
 
-TwoLevelBalancer::TwoLevelBalancer(const ClusterPlacement& placement,
-                                   TwoLevelBalancerConfig config)
-    : placement_(placement), config_(config) {
+TwoLevelBalancer::TwoLevelBalancer(TwoLevelBalancerConfig config)
+    : config_(config), inners_(config.inner) {
   config_.validate();
-  std::uint32_t max_node = 0;
-  for (const std::uint32_t node : placement_.node_of_rank) {
-    max_node = std::max(max_node, node);
-  }
-  num_nodes_ = max_node + 1;
 }
 
 void TwoLevelBalancer::on_start(mpisim::EngineControl& control) {
-  ranks_of_node_ = placement_.ranks_by_node(num_nodes_);
-  node_controls_.clear();
-  inners_.clear();
-  for (std::uint32_t n = 0; n < num_nodes_; ++n) {
-    node_controls_.emplace_back(control, ranks_of_node_[n], placement_.within,
-                                control.threads_per_core_of(n));
-    inners_.emplace_back(config_.inner);
-  }
-  node_wait_.assign(num_nodes_, 0.0);
-  boost_.assign(num_nodes_, 0);
+  inners_.start(control);
+  node_wait_.assign(control.num_nodes(), 0.0);
+  boost_.assign(control.num_nodes(), 0);
   last_epoch_time_ = 0.0;
   node_adjustments_ = 0;
-  for (std::uint32_t n = 0; n < num_nodes_; ++n) {
-    inners_[n].on_start(node_controls_[n]);
-  }
 }
 
 void TwoLevelBalancer::on_epoch(mpisim::EngineControl& control,
                                 const mpisim::EpochReport& report) {
-  SMTBAL_CHECK(report.ranks.size() == placement_.size());
-  for (std::uint32_t n = 0; n < num_nodes_; ++n) {
-    node_controls_[n].rebind(control);
-  }
-
+  const std::vector<std::vector<std::size_t>>& ranks_of_node =
+      inners_.membership();
+  const auto num_nodes = static_cast<std::uint32_t>(ranks_of_node.size());
   const SimTime window = report.now - last_epoch_time_;
   last_epoch_time_ = report.now;
 
@@ -64,15 +46,14 @@ void TwoLevelBalancer::on_epoch(mpisim::EngineControl& control,
     // collectives).
     double cluster_mean = 0.0;
     std::uint32_t populated = 0;
-    std::vector<double> raw(num_nodes_, 0.0);
-    for (std::uint32_t n = 0; n < num_nodes_; ++n) {
-      if (ranks_of_node_[n].empty()) continue;
+    for (std::uint32_t n = 0; n < num_nodes; ++n) {
+      if (ranks_of_node[n].empty()) continue;
       double sum = 0.0;
-      for (const std::size_t r : ranks_of_node_[n]) {
+      for (const std::size_t r : ranks_of_node[n]) {
         sum += std::clamp(report.ranks[r].wait / window, 0.0, 1.0);
       }
-      raw[n] = sum / static_cast<double>(ranks_of_node_[n].size());
-      node_wait_[n] = config_.smoothing * raw[n] +
+      const double raw = sum / static_cast<double>(ranks_of_node[n].size());
+      node_wait_[n] = config_.smoothing * raw +
                       (1.0 - config_.smoothing) * node_wait_[n];
       cluster_mean += node_wait_[n];
       ++populated;
@@ -81,8 +62,8 @@ void TwoLevelBalancer::on_epoch(mpisim::EngineControl& control,
 
     if (config_.max_node_boost > 0 && populated > 1 &&
         report.epoch > config_.warmup_epochs) {
-      for (std::uint32_t n = 0; n < num_nodes_; ++n) {
-        if (ranks_of_node_[n].empty()) continue;
+      for (std::uint32_t n = 0; n < num_nodes; ++n) {
+        if (ranks_of_node[n].empty()) continue;
         const double signal = cluster_mean - node_wait_[n];
         int& boost = boost_[n];
         const int before = boost;
@@ -95,25 +76,13 @@ void TwoLevelBalancer::on_epoch(mpisim::EngineControl& control,
         }
         if (boost != before) {
           ++node_adjustments_;
-          inners_[n].set_max_diff(config_.inner.max_diff + boost);
+          inners_.set_max_diff(n, config_.inner.max_diff + boost);
         }
       }
     }
   }
 
-  // Slice the global report per node and run each inner controller on
-  // its node-local view.
-  for (std::uint32_t n = 0; n < num_nodes_; ++n) {
-    if (ranks_of_node_[n].empty()) continue;
-    mpisim::EpochReport local;
-    local.epoch = report.epoch;
-    local.now = report.now;
-    local.ranks.reserve(ranks_of_node_[n].size());
-    for (const std::size_t r : ranks_of_node_[n]) {
-      local.ranks.push_back(report.ranks[r]);
-    }
-    inners_[n].on_epoch(node_controls_[n], local);
-  }
+  inners_.drive(control, report);
 }
 
-}  // namespace smtbal::cluster
+}  // namespace smtbal::policy

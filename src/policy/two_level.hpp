@@ -11,9 +11,11 @@
 // of their core-mates — and narrow it back once the node catches up
 // (bounded by the paper's Case D over-prioritisation lesson).
 //
-// The inner loop is one core::DynamicBalancer per node, each seeing a
-// node-local view of the cluster (local rank ids, within-node placement)
-// so its per-core wait-gap controller works unchanged.
+// The inner loop is NodeInners: one DynamicBalancer per node, each
+// seeing a node-local view of the cluster (local rank ids, within-node
+// placement) so its per-core wait-gap controller works unchanged. Node
+// membership is read from the engine at start, so the balancer needs no
+// placement of its own and runs unchanged on a flat (one-node) engine.
 //
 // With one node, or max_node_boost = 0, the outer loop never acts and
 // this is exactly a per-node DynamicBalancer — the bench's "flat
@@ -23,16 +25,14 @@
 #include <cstdint>
 #include <vector>
 
-#include "cluster/placement.hpp"
-#include "core/dynamic_policy.hpp"
 #include "mpisim/hooks.hpp"
-#include "mpisim/node_control.hpp"
+#include "policy/node_inners.hpp"
 
-namespace smtbal::cluster {
+namespace smtbal::policy {
 
 struct TwoLevelBalancerConfig {
   /// Per-node inner controller configuration.
-  core::DynamicBalancerConfig inner{};
+  DynamicBalancerConfig inner{};
   /// How far the outer loop may widen a lagging node's gap ceiling above
   /// inner.max_diff. 0 disables the outer level entirely.
   int max_node_boost = 1;
@@ -50,10 +50,7 @@ struct TwoLevelBalancerConfig {
 
 class TwoLevelBalancer final : public mpisim::BalancePolicy {
  public:
-  /// `placement` is captured by reference and must outlive the balancer
-  /// (it is the same object handed to the ClusterEngine).
-  explicit TwoLevelBalancer(const ClusterPlacement& placement,
-                            TwoLevelBalancerConfig config = {});
+  explicit TwoLevelBalancer(TwoLevelBalancerConfig config = {});
 
   [[nodiscard]] std::string_view name() const override { return "two-level"; }
 
@@ -71,16 +68,12 @@ class TwoLevelBalancer final : public mpisim::BalancePolicy {
   }
 
  private:
-  const ClusterPlacement& placement_;
   TwoLevelBalancerConfig config_;
-  std::uint32_t num_nodes_ = 0;
-  std::vector<std::vector<std::size_t>> ranks_of_node_;
-  std::vector<mpisim::NodeControl> node_controls_;
-  std::vector<core::DynamicBalancer> inners_;
+  NodeInners inners_;
   std::vector<double> node_wait_;  ///< smoothed mean wait fraction per node
   std::vector<int> boost_;
   SimTime last_epoch_time_ = 0.0;
   std::uint64_t node_adjustments_ = 0;
 };
 
-}  // namespace smtbal::cluster
+}  // namespace smtbal::policy

@@ -1,13 +1,14 @@
 #include "service/service.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <sstream>
 
 #include "common/error.hpp"
 #include "common/jsonl.hpp"
-#include "core/static_policy.hpp"
 #include "policy/registry.hpp"
+#include "policy/static_priority.hpp"
 #include "simcheck/scenario.hpp"
 #include "workloads/trace_replay.hpp"
 
@@ -15,33 +16,22 @@ namespace smtbal::service {
 
 namespace {
 
-/// What a policy factory needs to outlive the submit() call: the built
-/// scenario (its placements back the PolicyContext pointers) plus the
-/// request's policy spec.
-struct PolicySeed {
-  simcheck::Scenario scenario;
-  std::string policy;
-};
-
-std::unique_ptr<mpisim::BalancePolicy> make_job_policy(
-    const std::shared_ptr<PolicySeed>& seed) {
-  const simcheck::Scenario& sc = seed->scenario;
-  if (seed->policy == "none") {
-    // The no-policy baseline still honours the scenario's static
-    // priorities (the fuzzer's with_priorities dimension) the same way
-    // simcheck's differentials do.
-    if (sc.priorities.empty()) return nullptr;
-    return std::make_unique<core::StaticPriorityPolicy>(sc.priorities);
-  }
-  policy::PolicyContext context;
-  context.num_ranks = sc.app.size();
-  const bool clustered = sc.cluster_config.num_nodes > 1;
-  context.threads_per_core =
-      (clustered ? sc.cluster_config.node : sc.config).chip.threads_per_core();
-  context.placement =
-      clustered ? &sc.cluster_placement.within : &sc.placement;
-  context.cluster = clustered ? &sc.cluster_placement : nullptr;
-  return policy::Registry::instance().make(seed->policy, context);
+/// A job's policy factory. The no-policy baseline still honours the
+/// scenario's static priorities (the fuzzer's with_priorities dimension)
+/// the same way simcheck's differentials do.
+std::function<std::unique_ptr<mpisim::BalancePolicy>()> job_policy(
+    std::string spec, std::size_t num_ranks, std::vector<int> priorities) {
+  return [spec = std::move(spec), num_ranks,
+          priorities = std::move(priorities)]()
+             -> std::unique_ptr<mpisim::BalancePolicy> {
+    if (spec == "none") {
+      if (priorities.empty()) return nullptr;
+      return std::make_unique<policy::StaticPriorityPolicy>(priorities);
+    }
+    policy::PolicyContext context;
+    context.num_ranks = num_ranks;
+    return policy::Registry::instance().make(spec, context);
+  };
 }
 
 EvalResult result_of(const mpisim::RunResult& run) {
@@ -87,19 +77,17 @@ EvalService::Job EvalService::prepare(EvalRequest request) const {
         simcheck::parse_spec_string(request.scenario);
     job.canonical = "scenario{" + simcheck::canonical_spec_string(spec) +
                     "} policy{" + request.policy + "}";
-    auto seed = std::make_shared<PolicySeed>();
-    seed->scenario = simcheck::build_scenario(spec);
-    seed->policy = request.policy;
-    const simcheck::Scenario& sc = seed->scenario;
+    simcheck::Scenario sc = simcheck::build_scenario(spec);
     job.spec.label = job.id;
-    job.spec.app = sc.app;
-    job.spec.placement = sc.placement;
-    job.spec.config = sc.config;
+    job.spec.make_policy =
+        job_policy(request.policy, sc.app.size(), std::move(sc.priorities));
+    job.spec.app = std::move(sc.app);
+    job.spec.placement = std::move(sc.placement);
+    job.spec.config = std::move(sc.config);
     if (sc.cluster_config.num_nodes > 1) {
-      job.spec.cluster_placement = sc.cluster_placement;
-      job.spec.cluster_config = sc.cluster_config;
+      job.spec.cluster_placement = std::move(sc.cluster_placement);
+      job.spec.cluster_config = std::move(sc.cluster_config);
     }
-    job.spec.make_policy = [seed] { return make_job_policy(seed); };
   } else {
     mpisim::Application app = workloads::parse_trace_file(request.trace_path);
     const std::string canonical_trace = workloads::emit_trace(app);
@@ -118,19 +106,13 @@ EvalService::Job EvalService::prepare(EvalRequest request) const {
               << smt << "} policy{" << request.policy << "}";
     job.canonical = canonical.str();
 
-    auto seed = std::make_shared<PolicySeed>();
-    seed->policy = request.policy;
-    simcheck::Scenario& sc = seed->scenario;
-    sc.app = std::move(app);
-    sc.config.chip.num_cores = cores;
-    sc.config.chip.memory.num_cores = cores;
-    sc.config.chip.core.threads_per_core = smt;
-    sc.placement = mpisim::Placement::identity(ranks, smt);
     job.spec.label = job.id;
-    job.spec.app = sc.app;
-    job.spec.placement = sc.placement;
-    job.spec.config = sc.config;
-    job.spec.make_policy = [seed] { return make_job_policy(seed); };
+    job.spec.app = std::move(app);
+    job.spec.config.chip.num_cores = cores;
+    job.spec.config.chip.memory.num_cores = cores;
+    job.spec.config.chip.core.threads_per_core = smt;
+    job.spec.placement = mpisim::Placement::identity(ranks, smt);
+    job.spec.make_policy = job_policy(request.policy, ranks, {});
   }
   job.key = canonical_key(job.canonical);
   return job;

@@ -7,9 +7,9 @@
 #include <type_traits>
 #include <vector>
 
-#include "core/static_policy.hpp"
 #include "policy/registry.hpp"
 #include "policy/repartition.hpp"
+#include "policy/static_priority.hpp"
 #include "simcheck/invariants.hpp"
 
 namespace smtbal::simcheck {
@@ -167,16 +167,17 @@ std::optional<std::string> check_spec(const ScenarioSpec& raw) {
   const ScenarioSpec spec = sanitize_spec(raw);
   try {
     const Scenario sc = build_scenario(spec);
+    // The scenario's static priorities, if any. The policy keeps no run
+    // state, so one instance serves every engine below.
+    std::optional<smtbal::policy::StaticPriorityPolicy> fixed;
+    if (!sc.priorities.empty()) fixed.emplace(sc.priorities);
+    mpisim::BalancePolicy* const priorities = fixed ? &*fixed : nullptr;
 
     if (spec.num_nodes == 1) {
       mpisim::Engine engine(sc.app, sc.placement, sc.config);
       InvariantObserver invariants;
       engine.add_observer(&invariants);
-      std::optional<core::StaticPriorityPolicy> policy;
-      if (!sc.priorities.empty()) {
-        policy.emplace(sc.priorities);
-        engine.set_policy(&*policy);
-      }
+      engine.set_policy(priorities);
       const mpisim::RunResult engine_result = engine.run();
 
       const OracleResult oracle =
@@ -196,11 +197,7 @@ std::optional<std::string> check_spec(const ScenarioSpec& raw) {
       InvariantObserver cluster_invariants;
       cluster_invariants.watch_interconnect(&clustered.interconnect());
       clustered.add_observer(&cluster_invariants);
-      std::optional<core::StaticPriorityPolicy> cluster_policy;
-      if (!sc.priorities.empty()) {
-        cluster_policy.emplace(sc.priorities);
-        clustered.set_policy(&*cluster_policy);
-      }
+      clustered.set_policy(priorities);
       const cluster::ClusterRunResult cluster_result = clustered.run();
       if (auto d = diff_flat_vs_cluster(engine_result, cluster_result)) {
         return "flat-vs-cluster(M=1): " + *d;
@@ -211,7 +208,7 @@ std::optional<std::string> check_spec(const ScenarioSpec& raw) {
       InvariantObserver invariants;
       invariants.watch_interconnect(&clustered.interconnect());
       clustered.add_observer(&invariants);
-      std::optional<core::StaticPriorityPolicy> static_policy;
+      clustered.set_policy(priorities);
       std::optional<smtbal::policy::RepartitionPolicy> repartition;
       if (spec.migrate) {
         // Hair-trigger repartitioning so the invariant checker sees
@@ -229,9 +226,6 @@ std::optional<std::string> check_spec(const ScenarioSpec& raw) {
         }
         repartition.emplace(config);
         clustered.set_policy(&*repartition);
-      } else if (!sc.priorities.empty()) {
-        static_policy.emplace(sc.priorities);
-        clustered.set_policy(&*static_policy);
       }
       (void)clustered.run();
     }
@@ -247,13 +241,9 @@ std::optional<std::string> check_policy_spec(const ScenarioSpec& raw,
   spec.vanilla = false;
   try {
     const Scenario sc = build_scenario(spec);
-    const auto make_policy = [&](bool clustered) {
+    const auto make_policy = [&] {
       policy::PolicyContext context;
       context.num_ranks = sc.app.size();
-      context.threads_per_core = sc.config.chip.threads_per_core();
-      context.placement =
-          clustered ? &sc.cluster_placement.within : &sc.placement;
-      context.cluster = clustered ? &sc.cluster_placement : nullptr;
       return policy::Registry::instance().make(policy_spec, context);
     };
 
@@ -261,7 +251,7 @@ std::optional<std::string> check_policy_spec(const ScenarioSpec& raw,
       mpisim::Engine engine(sc.app, sc.placement, sc.config);
       InvariantObserver invariants;
       engine.add_observer(&invariants);
-      const auto flat_policy = make_policy(false);
+      const auto flat_policy = make_policy();
       engine.set_policy(flat_policy.get());
       const mpisim::RunResult flat = engine.run();
 
@@ -270,7 +260,7 @@ std::optional<std::string> check_policy_spec(const ScenarioSpec& raw,
       InvariantObserver cluster_invariants;
       cluster_invariants.watch_interconnect(&clustered.interconnect());
       clustered.add_observer(&cluster_invariants);
-      const auto cluster_policy = make_policy(true);
+      const auto cluster_policy = make_policy();
       clustered.set_policy(cluster_policy.get());
       const cluster::ClusterRunResult cluster_result = clustered.run();
       if (auto d = diff_flat_vs_cluster(flat, cluster_result)) {
@@ -282,7 +272,7 @@ std::optional<std::string> check_policy_spec(const ScenarioSpec& raw,
       InvariantObserver invariants;
       invariants.watch_interconnect(&clustered.interconnect());
       clustered.add_observer(&invariants);
-      const auto cluster_policy = make_policy(true);
+      const auto cluster_policy = make_policy();
       clustered.set_policy(cluster_policy.get());
       (void)clustered.run();
     }

@@ -10,9 +10,8 @@
 //   * flat vs cluster(M=1) — mpisim::Engine against a one-node
 //     cluster::ClusterEngine on the identical scenario. Both run the same
 //     engine, so this guards the cluster overlay against its base: the
-//     ClusterCostModel at one node, the comm-graph observer on the bus,
-//     and policies built with PolicyContext::cluster set must not move a
-//     single result;
+//     ClusterCostModel at one node and the comm-graph observer on the bus
+//     must not move a single result, under any registry policy;
 //   * factorised vs full chip — every chip load the oracle sampled,
 //     measured by ThroughputSampler::sample() (core by core wherever the
 //     no-interference certificate holds) against the whole-chip

@@ -26,7 +26,7 @@
 //   * single node — cluster runs are cross-checked differently (a
 //     cluster of M=1 must equal the flat engine bit-for-bit);
 //   * static priorities only (applied before the run starts, exactly
-//     like core::StaticPriorityPolicy) — no epoch-reactive policies;
+//     like policy::StaticPriorityPolicy) — no epoch-reactive policies;
 //   * no compute phase may use the configured spin kernel: a compute
 //     segment whose kernel equals the spin kernel leaves the chip load
 //     key unchanged, and the engine's key-skip then defers the

@@ -10,7 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include "cluster/balancer.hpp"
 #include "cluster/engine.hpp"
 #include "cluster/placement.hpp"
 #include "cluster/workload.hpp"
@@ -264,9 +263,6 @@ TEST(ClusterHetero, SeatRankingPoliciesActuateOnMixedWidths) {
     MixedWidth mixed = make_mixed_width();
     policy::PolicyContext context;
     context.num_ranks = mixed.app.size();
-    context.threads_per_core = mixed.config.node.chip.threads_per_core();
-    context.placement = &mixed.placement.within;
-    context.cluster = &mixed.placement;
     const auto policy = policy::Registry::instance().make(spec, context);
     ClusterEngine engine(std::move(mixed.app), mixed.placement, mixed.config);
     engine.set_policy(policy.get());

@@ -7,10 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 
-#include "core/balancer.hpp"
-#include "core/dynamic_policy.hpp"
-#include "core/static_policy.hpp"
+#include "mpisim/engine.hpp"
+#include "policy/dynamic.hpp"
+#include "policy/static_priority.hpp"
 #include "workloads/btmz.hpp"
 #include "workloads/cases.hpp"
 #include "workloads/fig1.hpp"
@@ -26,9 +27,16 @@ mpisim::EngineConfig fast_config() {
   return config;
 }
 
-core::Balancer& balancer() {
-  static core::Balancer instance(fast_config());
-  return instance;
+/// One engine run on a sampler shared by every run of the suite, so each
+/// chip load is cycle-simulated once.
+mpisim::RunResult run(const mpisim::Application& app,
+                      const mpisim::Placement& placement,
+                      mpisim::BalancePolicy* policy = nullptr) {
+  static const auto sampler = std::make_shared<smt::ThroughputSampler>(
+      fast_config().chip, fast_config().sampler);
+  mpisim::Engine engine(app, placement, fast_config(), sampler);
+  engine.set_policy(policy);
+  return engine.run();
 }
 
 std::map<std::string, mpisim::RunResult> run_cases(
@@ -36,8 +44,8 @@ std::map<std::string, mpisim::RunResult> run_cases(
     const std::vector<workloads::PaperCase>& cases) {
   std::map<std::string, mpisim::RunResult> results;
   for (const workloads::PaperCase& c : cases) {
-    core::StaticPriorityPolicy policy(c.priorities);
-    results.emplace(c.label, balancer().run(app, c.placement, &policy));
+    policy::StaticPriorityPolicy policy(c.priorities);
+    results.emplace(c.label, run(app, c.placement, &policy));
   }
   return results;
 }
@@ -128,9 +136,8 @@ class BtmzCases : public ::testing::Test {
       st.num_ranks = 2;
       st.bottleneck_instructions *= workloads::btmz_bottleneck_fraction(st) /
                                     workloads::btmz_bottleneck_fraction(config);
-      results.emplace("ST",
-                      balancer().run(workloads::build_btmz(st),
-                                     mpisim::Placement::from_linear({0, 2})));
+      results.emplace("ST", run(workloads::build_btmz(st),
+                                mpisim::Placement::from_linear({0, 2})));
       return results;
     }();
     return value;
@@ -251,9 +258,9 @@ TEST(SiestaDynamic, DynamicBalancerBeatsBaseline) {
   const auto app = workloads::build_siesta(config);
   const auto paired = mpisim::Placement::from_linear({2, 0, 1, 3});
 
-  const auto baseline = balancer().run(app, paired);
-  core::DynamicBalancer dynamic;
-  const auto adaptive = balancer().run(app, paired, &dynamic);
+  const auto baseline = run(app, paired);
+  policy::DynamicBalancer dynamic;
+  const auto adaptive = run(app, paired, &dynamic);
   EXPECT_LT(adaptive.exec_time, baseline.exec_time * 0.99);
   EXPECT_GT(dynamic.adjustments(), 0u);
 }
@@ -267,10 +274,10 @@ TEST(Fig1, RebalancingShortensTheRun) {
   config.iterations = 2;
   const auto app = workloads::build_fig1(config);
   const auto cases = workloads::fig1_cases();
-  core::StaticPriorityPolicy reference(cases[0].priorities);
-  core::StaticPriorityPolicy rebalanced(cases[1].priorities);
-  const auto before = balancer().run(app, cases[0].placement, &reference);
-  const auto after = balancer().run(app, cases[1].placement, &rebalanced);
+  policy::StaticPriorityPolicy reference(cases[0].priorities);
+  policy::StaticPriorityPolicy rebalanced(cases[1].priorities);
+  const auto before = run(app, cases[0].placement, &reference);
+  const auto after = run(app, cases[1].placement, &rebalanced);
   EXPECT_LT(after.exec_time, before.exec_time * 0.9);
   EXPECT_LT(after.imbalance, before.imbalance);
 }
@@ -294,18 +301,20 @@ TEST(KernelAblation, VanillaKernelLosesPrioritiesUnderInterrupts) {
   noisy.noise_horizon = 500.0;
   noisy.kernel_flavor = os::KernelFlavor::kPatched;
 
-  core::Balancer patched(noisy);
-  core::StaticPriorityPolicy policy(priorities);
-  const auto patched_run = patched.run(app, placement, &policy);
+  policy::StaticPriorityPolicy policy(priorities);
+  mpisim::Engine patched(app, placement, noisy);
+  patched.set_policy(&policy);
+  const auto patched_run = patched.run();
 
   // The same assignment cannot even be installed on a vanilla kernel
   // (priority 6 requires supervisor level), and interrupts reset whatever
   // userspace sets: model both by observing the reset counter with a
   // user-settable assignment.
   noisy.kernel_flavor = os::KernelFlavor::kVanilla;
-  core::Balancer vanilla(noisy);
-  core::StaticPriorityPolicy user_policy({3, 4, 3, 4});
-  const auto vanilla_run = vanilla.run(app, placement, &user_policy);
+  policy::StaticPriorityPolicy user_policy({3, 4, 3, 4});
+  mpisim::Engine vanilla(app, placement, noisy);
+  vanilla.set_policy(&user_policy);
+  const auto vanilla_run = vanilla.run();
 
   EXPECT_EQ(patched_run.priority_resets, 0u);
   EXPECT_GT(vanilla_run.priority_resets, 0u)

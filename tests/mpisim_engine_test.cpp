@@ -426,5 +426,24 @@ TEST(Engine, SamplerStatsCountOnlyTheRunsOwnLookups) {
             after_second.local_hits - after_first.local_hits);
 }
 
+TEST(Engine, SharedSamplerMemoisesAcrossRuns) {
+  // A second identical run on a shared sampler measures nothing new.
+  const EngineConfig config = fast_config();
+  const auto sampler =
+      std::make_shared<smt::ThroughputSampler>(config.chip, config.sampler);
+  Application app;
+  app.ranks.resize(2);
+  app.ranks[0].compute(kid(), 4e7).barrier();
+  app.ranks[1].compute(kid(), 1e7).barrier();
+  const Placement pair = Placement::from_linear({0, 1});
+  Engine first(app, pair, config, sampler);
+  ASSERT_GT(first.run().sampler_stats.misses, 0u);
+  Engine second(app, pair, config, sampler);
+  const RunResult again = second.run();
+  EXPECT_GT(again.sampler_stats.lookups, 0u);
+  EXPECT_EQ(again.sampler_stats.misses, 0u)
+      << "second identical run must be fully memoised";
+}
+
 }  // namespace
 }  // namespace smtbal::mpisim

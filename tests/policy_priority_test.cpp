@@ -1,13 +1,20 @@
+// The paper's priority policies — the static assignment and the dynamic
+// wait-gap controller — and the offline advisor that searches static
+// assignments by simulation.
 #include <gtest/gtest.h>
 
-#include "common/error.hpp"
-#include "core/advisor.hpp"
-#include "core/balancer.hpp"
-#include "core/dynamic_policy.hpp"
-#include "core/static_policy.hpp"
-#include "isa/kernel.hpp"
+#include <memory>
+#include <string>
+#include <vector>
 
-namespace smtbal::core {
+#include "common/error.hpp"
+#include "isa/kernel.hpp"
+#include "mpisim/engine.hpp"
+#include "policy/advisor.hpp"
+#include "policy/dynamic.hpp"
+#include "policy/static_priority.hpp"
+
+namespace smtbal::policy {
 namespace {
 
 isa::KernelId kid() {
@@ -20,9 +27,16 @@ mpisim::EngineConfig fast_config() {
   return config;
 }
 
-Balancer& shared_balancer() {
-  static Balancer balancer(fast_config());
-  return balancer;
+/// One engine run on a sampler shared by every run of the suite, so each
+/// chip load is cycle-simulated once.
+mpisim::RunResult run(const mpisim::Application& app,
+                      const mpisim::Placement& placement,
+                      mpisim::BalancePolicy* policy = nullptr) {
+  static const auto sampler = std::make_shared<smt::ThroughputSampler>(
+      fast_config().chip, fast_config().sampler);
+  mpisim::Engine engine(app, placement, fast_config(), sampler);
+  engine.set_policy(policy);
+  return engine.run();
 }
 
 /// Two ranks on one core, rank 0 does 4x the work — a statically
@@ -47,27 +61,27 @@ TEST(StaticPolicy, RejectsBadPriorities) {
 
 TEST(StaticPolicy, RejectsSizeMismatchAtRun) {
   StaticPriorityPolicy policy({4, 4, 4});
-  EXPECT_THROW(shared_balancer().run(imbalanced_pair(1), kPair, &policy),
+  EXPECT_THROW(run(imbalanced_pair(1), kPair, &policy),
                InvalidArgument);
 }
 
 TEST(StaticPolicy, AppliesPrioritiesAndImprovesImbalancedApp) {
-  const auto baseline = shared_balancer().run(imbalanced_pair(), kPair);
+  const auto baseline = run(imbalanced_pair(), kPair);
   // One level of difference is the sweet spot for a 4:1 load ratio: the
   // favored thread saturates quickly, so wider gaps only starve the
   // light rank for no further gain (paper Case D).
   StaticPriorityPolicy policy({5, 4});
   const auto balanced =
-      shared_balancer().run(imbalanced_pair(), kPair, &policy);
+      run(imbalanced_pair(), kPair, &policy);
   EXPECT_LT(balanced.exec_time, baseline.exec_time * 0.92);
   EXPECT_LT(balanced.imbalance, baseline.imbalance);
 }
 
 TEST(StaticPolicy, WrongDirectionHurts) {
-  const auto baseline = shared_balancer().run(imbalanced_pair(), kPair);
+  const auto baseline = run(imbalanced_pair(), kPair);
   StaticPriorityPolicy policy({4, 6});  // favors the light rank
   const auto inverted =
-      shared_balancer().run(imbalanced_pair(), kPair, &policy);
+      run(imbalanced_pair(), kPair, &policy);
   EXPECT_GT(inverted.exec_time, baseline.exec_time * 1.1);
 }
 
@@ -88,12 +102,12 @@ TEST(DynamicBalancer, ConfigValidation) {
 
 TEST(DynamicBalancer, ImprovesStaticallyImbalancedApp) {
   const auto baseline =
-      shared_balancer().run(imbalanced_pair(10, 5.0), kPair);
+      run(imbalanced_pair(10, 5.0), kPair);
   DynamicBalancerConfig config;
   config.max_diff = 2;
   DynamicBalancer policy(config);
   const auto balanced =
-      shared_balancer().run(imbalanced_pair(10, 5.0), kPair, &policy);
+      run(imbalanced_pair(10, 5.0), kPair, &policy);
   EXPECT_LT(balanced.exec_time, baseline.exec_time * 0.95);
   EXPECT_GT(policy.adjustments(), 0u);
 }
@@ -106,14 +120,14 @@ TEST(DynamicBalancer, LeavesBalancedAppAlone) {
     app.ranks[1].compute(kid(), 4e8).barrier();
   }
   DynamicBalancer policy;
-  const auto result = shared_balancer().run(app, kPair, &policy);
+  const auto result = run(app, kPair, &policy);
   EXPECT_EQ(policy.adjustments(), 0u);
   EXPECT_LT(result.imbalance, 0.1);
 }
 
 TEST(DynamicBalancer, ConvergesInsteadOfFlapping) {
   DynamicBalancer policy;
-  (void)shared_balancer().run(imbalanced_pair(12), kPair, &policy);
+  (void)run(imbalanced_pair(12), kPair, &policy);
   // A convergent controller changes priorities a bounded number of times,
   // not once per epoch.
   EXPECT_LE(policy.adjustments(), 8u);
@@ -150,7 +164,7 @@ TEST(DynamicBalancer, RespectsMaxDiff) {
   config.max_diff = 1;
   DynamicBalancer inner(config);
   PriorityProbe probe(inner);
-  (void)shared_balancer().run(imbalanced_pair(10, 5.0), kPair, &probe);
+  (void)run(imbalanced_pair(10, 5.0), kPair, &probe);
   // Priorities are either the default (4,4) or a single-step gap (6,5):
   // the starved rank never drops below high_priority - max_diff.
   EXPECT_GE(probe.min_seen, 4);
@@ -159,42 +173,13 @@ TEST(DynamicBalancer, RespectsMaxDiff) {
   EXPECT_GE(probe.max_gap, 1) << "a gap must actually have been applied";
 }
 
-TEST(Balancer, RunWithoutPolicyUsesDefaults) {
-  const auto result = shared_balancer().run(imbalanced_pair(1), kPair);
-  EXPECT_GT(result.exec_time, 0.0);
-}
-
-TEST(Balancer, SamplerSharedAcrossRuns) {
-  Balancer balancer(fast_config());
-  (void)balancer.run(imbalanced_pair(1), kPair);
-  const auto misses_before = balancer.sampler().stats().misses;
-  (void)balancer.run(imbalanced_pair(1), kPair);
-  EXPECT_EQ(balancer.sampler().stats().misses, misses_before)
-      << "second identical run must be fully memoised";
-}
-
-TEST(Balancer, SetConfigKeepsSamplerForSameChip) {
-  Balancer balancer(fast_config());
-  (void)balancer.run(imbalanced_pair(1), kPair);
-  auto* sampler_before = &balancer.sampler();
-  mpisim::EngineConfig config = fast_config();
-  config.barrier_latency = 1e-5;  // non-chip change
-  balancer.set_config(config);
-  EXPECT_EQ(&balancer.sampler(), sampler_before);
-
-  config.chip.core.gct_entries = 64;  // chip change => new sampler domain
-  balancer.set_config(config);
-  EXPECT_NE(&balancer.sampler(), sampler_before);
-}
-
 TEST(Advisor, FindsTheObviousAssignment) {
-  Balancer balancer(fast_config());
-  PriorityAdvisor advisor(balancer);
-  AdvisorConfig config;
   // A 4:1 load ratio is best served by one level of difference (the
   // favored thread saturates; see the paper's Case D for wider gaps).
-  config.priority_levels = {4, 5};
-  const auto results = advisor.search(imbalanced_pair(3), config);
+  const auto results =
+      advise(imbalanced_pair(3), {}, {4, 5}, runner::BatchRunner({.jobs = 1}),
+             fast_config())
+          .ranked;
   ASSERT_EQ(results.size(), 4u);
   // Best configuration favors the heavy rank 0.
   EXPECT_EQ(results.front().priorities[0], 5);
@@ -209,12 +194,39 @@ TEST(Advisor, FindsTheObviousAssignment) {
 }
 
 TEST(Advisor, SearchSpaceGuard) {
-  Balancer balancer(fast_config());
-  PriorityAdvisor advisor(balancer);
-  AdvisorConfig config;
-  config.priority_levels = {1, 2, 3, 4, 5, 6};
-  config.max_candidates = 10;
-  EXPECT_THROW(advisor.search(imbalanced_pair(1), config), InvalidArgument);
+  // 6^5 = 7776 priority vectors exceed the cap; nothing runs.
+  mpisim::Application app;
+  app.ranks.resize(5);
+  for (auto& rank : app.ranks) rank.compute(kid(), 1e6);
+  EXPECT_THROW((void)advise(app, {}, {1, 2, 3, 4, 5, 6}, runner::BatchRunner{},
+                            fast_config()),
+               InvalidArgument);
+}
+
+TEST(Advisor, RankingIsIdenticalForAnyWorkerCount) {
+  // Each rank alone on its core: with no core-mate to compete with, the
+  // priority changes nothing, so every candidate of a placement ties and
+  // the stable sort must keep enumeration order.
+  const std::vector<std::vector<std::uint32_t>> placements{{0, 2}, {0, 1}};
+  const auto one = advise(imbalanced_pair(2), placements, {4, 5},
+                          runner::BatchRunner({.jobs = 1}), fast_config());
+  const auto four = advise(imbalanced_pair(2), placements, {4, 5},
+                           runner::BatchRunner({.jobs = 4}), fast_config());
+  ASSERT_EQ(one.ranked.size(), 8u);
+  ASSERT_EQ(four.ranked.size(), one.ranked.size());
+  for (std::size_t i = 0; i < one.ranked.size(); ++i) {
+    EXPECT_EQ(describe(one.ranked[i]), describe(four.ranked[i])) << i;
+    EXPECT_EQ(one.ranked[i].exec_time, four.ranked[i].exec_time) << i;
+  }
+  std::vector<std::string> tied;
+  for (const AdvisorCandidate& candidate : one.ranked) {
+    if (candidate.exec_time == one.ranked.front().exec_time) {
+      tied.push_back(describe(candidate));
+    }
+  }
+  EXPECT_EQ(tied, (std::vector<std::string>{
+                      "cpus[0,2] prio[4,4]", "cpus[0,2] prio[5,4]",
+                      "cpus[0,2] prio[4,5]", "cpus[0,2] prio[5,5]"}));
 }
 
 TEST(Advisor, DescribeFormatsCandidate) {
@@ -225,13 +237,14 @@ TEST(Advisor, DescribeFormatsCandidate) {
 }
 
 TEST(Advisor, ConfigValidation) {
-  AdvisorConfig config;
-  config.priority_levels = {};
-  EXPECT_THROW(config.validate(), InvalidArgument);
-  config = AdvisorConfig{};
-  config.priority_levels = {0};
-  EXPECT_THROW(config.validate(), InvalidArgument);
+  const runner::BatchRunner runner;
+  EXPECT_THROW((void)advise(imbalanced_pair(1), {}, {}, runner),
+               InvalidArgument);
+  EXPECT_THROW((void)advise(imbalanced_pair(1), {}, {0}, runner),
+               InvalidArgument);
+  EXPECT_THROW((void)advise(imbalanced_pair(1), {{0, 1, 2}}, {4}, runner),
+               InvalidArgument);
 }
 
 }  // namespace
-}  // namespace smtbal::core
+}  // namespace smtbal::policy

@@ -5,23 +5,24 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "cluster/balancer.hpp"
 #include "cluster/engine.hpp"
 #include "cluster/workload.hpp"
 #include "common/error.hpp"
-#include "core/dynamic_policy.hpp"
-#include "core/static_policy.hpp"
 #include "isa/kernel.hpp"
 #include "mpisim/engine.hpp"
 #include "policy/allocation.hpp"
 #include "policy/budget.hpp"
+#include "policy/dynamic.hpp"
 #include "policy/ilp_pairing.hpp"
 #include "policy/registry.hpp"
 #include "policy/seating.hpp"
+#include "policy/static_priority.hpp"
+#include "policy/two_level.hpp"
 #include "workloads/metbench.hpp"
 
 namespace smtbal::policy {
@@ -95,11 +96,9 @@ class HookProbe final : public mpisim::BalancePolicy {
   EpochHook epoch_;
 };
 
-PolicyContext flat_context(std::size_t num_ranks,
-                           const mpisim::Placement& placement) {
+PolicyContext context_for(std::size_t num_ranks) {
   PolicyContext context;
   context.num_ranks = num_ranks;
-  context.placement = &placement;
   return context;
 }
 
@@ -119,7 +118,7 @@ TEST(Registry, ListsEveryFamily) {
 }
 
 TEST(Registry, UnknownNameSuggestsNearest) {
-  const auto context = flat_context(2, kPair);
+  const auto context = context_for(2);
   try {
     (void)Registry::instance().make("dynamik", context);
     FAIL() << "expected InvalidArgument";
@@ -131,7 +130,7 @@ TEST(Registry, UnknownNameSuggestsNearest) {
 }
 
 TEST(Registry, UnknownNameFarFromEverythingListsNoGuess) {
-  const auto context = flat_context(2, kPair);
+  const auto context = context_for(2);
   try {
     (void)Registry::instance().make("zzzzzzzzzzzz", context);
     FAIL() << "expected InvalidArgument";
@@ -142,7 +141,7 @@ TEST(Registry, UnknownNameFarFromEverythingListsNoGuess) {
 }
 
 TEST(Registry, UnknownKeyNamesSchema) {
-  const auto context = flat_context(2, kPair);
+  const auto context = context_for(2);
   try {
     (void)Registry::instance().make("dynamic:bogus=1", context);
     FAIL() << "expected InvalidArgument";
@@ -155,7 +154,7 @@ TEST(Registry, UnknownKeyNamesSchema) {
 }
 
 TEST(Registry, MalformedSpecs) {
-  const auto context = flat_context(2, kPair);
+  const auto context = context_for(2);
   EXPECT_THROW((void)Registry::instance().make("dynamic:max_diff", context),
                InvalidArgument);
   EXPECT_THROW(
@@ -168,7 +167,7 @@ TEST(Registry, EmptySpecErrorNamesTheAlternatives) {
   // The empty spec is a distinct mistake from an unknown name: the error
   // must point at --list-policies and the explicit "none" baseline rather
   // than suggest a nearest match for "".
-  const auto context = flat_context(2, kPair);
+  const auto context = context_for(2);
   try {
     (void)Registry::instance().make("", context);
     FAIL() << "expected InvalidArgument";
@@ -184,7 +183,7 @@ TEST(Registry, EmptySpecErrorNamesTheAlternatives) {
 TEST(Registry, OneEditTypoSuggestsEveryFamily) {
   // One-edit-distance typos of each registered family all get a
   // did-you-mean pointing at the real name.
-  const auto context = flat_context(2, kPair);
+  const auto context = context_for(2);
   const std::pair<const char*, const char*> typos[] = {
       {"statix", "static"},
       {"dynamc", "dynamic"},
@@ -205,7 +204,7 @@ TEST(Registry, OneEditTypoSuggestsEveryFamily) {
 }
 
 TEST(Registry, ConfiguredPoliciesValidate) {
-  const auto context = flat_context(2, kPair);
+  const auto context = context_for(2);
   // Bad values reach the policy's own validate().
   EXPECT_THROW(
       (void)Registry::instance().make("ilp-pairing:smoothing=0", context),
@@ -223,12 +222,47 @@ TEST(Registry, ConfiguredPoliciesValidate) {
 }
 
 TEST(Registry, StaticPrioritiesListMustMatchRankCount) {
-  const auto context = flat_context(2, kPair);
+  const auto context = context_for(2);
   EXPECT_NE(Registry::instance().make("static:priorities=5/4", context),
             nullptr);
   EXPECT_THROW(
       (void)Registry::instance().make("static:priorities=5/4/4", context),
       InvalidArgument);
+}
+
+TEST(Registry, SchemaRangesAreTheAcceptedRanges) {
+  // Each endpoint a schema advertises builds, and one step past it throws.
+  const auto context = context_for(2);
+  const auto schema_of = [](const std::string& name) {
+    for (const PolicyInfo& info : Registry::instance().list()) {
+      if (info.name == name) return info.schema;
+    }
+    return std::string();
+  };
+  EXPECT_NE(schema_of("static").find("uniform=<1..6>"), std::string::npos);
+  EXPECT_NE(schema_of("dynamic").find("high_priority=<2..6>,"
+                                      "max_diff=<1..high_priority-1>"),
+            std::string::npos);
+  EXPECT_NE(schema_of("two-level").find("inner_high_priority=<2..6>"),
+            std::string::npos);
+  EXPECT_NE(schema_of("repartition").find("inner_max_diff=<1.."),
+            std::string::npos);
+
+  for (const char* spec :
+       {"static:uniform=1", "static:uniform=6", "dynamic:high_priority=2",
+        "dynamic:high_priority=6", "dynamic:max_diff=1", "dynamic:max_diff=5",
+        "two-level:inner_high_priority=6,max_node_boost=0",
+        "repartition:inner_max_diff=5"}) {
+    EXPECT_NE(Registry::instance().make(spec, context), nullptr) << spec;
+  }
+  for (const char* spec :
+       {"static:uniform=0", "static:uniform=7", "dynamic:high_priority=1",
+        "dynamic:high_priority=7", "dynamic:max_diff=0", "dynamic:max_diff=6",
+        "two-level:inner_high_priority=7", "repartition:inner_max_diff=0"}) {
+    EXPECT_THROW((void)Registry::instance().make(spec, context),
+                 InvalidArgument)
+        << spec;
+  }
 }
 
 TEST(Registry, ConfigMapIntList) {
@@ -249,10 +283,10 @@ TEST(Registry, EditDistance) {
 
 TEST(PortedPolicies, StaticMatchesDirectConstruction) {
   const auto app = workloads::build_metbench(misseated_metbench());
-  core::StaticPriorityPolicy direct({5, 4, 5, 4});
+  StaticPriorityPolicy direct({5, 4, 5, 4});
   const auto a = run_flat(app, kMisseated, &direct);
 
-  const auto context = flat_context(4, kMisseated);
+  const auto context = context_for(4);
   const auto ported =
       Registry::instance().make("static:priorities=5/4/5/4", context);
   const auto b = run_flat(app, kMisseated, ported.get());
@@ -265,12 +299,12 @@ TEST(PortedPolicies, StaticMatchesDirectConstruction) {
 
 TEST(PortedPolicies, DynamicMatchesDirectConstruction) {
   const auto app = imbalanced_pair(8, 5.0);
-  core::DynamicBalancerConfig config;
+  DynamicBalancerConfig config;
   config.max_diff = 2;
-  core::DynamicBalancer direct(config);
+  DynamicBalancer direct(config);
   const auto a = run_flat(app, kPair, &direct);
 
-  const auto context = flat_context(2, kPair);
+  const auto context = context_for(2);
   const auto ported = Registry::instance().make("dynamic:max_diff=2", context);
   const auto b = run_flat(app, kPair, ported.get());
 
@@ -289,16 +323,13 @@ TEST(PortedPolicies, TwoLevelMatchesDirectConstruction) {
   config.num_nodes = 2;
   config.node = fast_config();
 
-  cluster::TwoLevelBalancer direct(built.placement);
+  TwoLevelBalancer direct;
   cluster::ClusterEngine engine_a(built.app, built.placement, config);
   engine_a.set_policy(&direct);
   const auto a = engine_a.run();
 
-  PolicyContext context;
-  context.num_ranks = built.app.size();
-  context.placement = &built.placement.within;
-  context.cluster = &built.placement;
-  const auto ported = Registry::instance().make("two-level", context);
+  const auto ported =
+      Registry::instance().make("two-level", context_for(built.app.size()));
   cluster::ClusterEngine engine_b(built.app, built.placement, config);
   engine_b.set_policy(ported.get());
   const auto b = engine_b.run();
@@ -307,6 +338,46 @@ TEST(PortedPolicies, TwoLevelMatchesDirectConstruction) {
   EXPECT_EQ(a.flat.imbalance, b.flat.imbalance);
   EXPECT_EQ(a.flat.events, b.flat.events);
   EXPECT_EQ(a.flat.priority_resets, b.flat.priority_resets);
+}
+
+TEST(PortedPolicies, TwoLevelAndRepartitionShareTheirInnerLevel) {
+  // With both outer loops held back (no boost, no migration budget), the
+  // two policies reduce to the same one-DynamicBalancer-per-node driver
+  // and must reproduce each other bit for bit.
+  cluster::SkewedClusterConfig skew;
+  skew.iterations = 5;
+  const auto built = cluster::make_skewed_cluster(skew);
+  cluster::ClusterConfig config;
+  config.num_nodes = 2;
+  config.node = fast_config();
+  const auto run = [&](const std::string& spec) {
+    std::unique_ptr<mpisim::BalancePolicy> policy;
+    if (!spec.empty()) {
+      policy = Registry::instance().make(spec, context_for(built.app.size()));
+    }
+    cluster::ClusterEngine engine(built.app, built.placement, config);
+    engine.set_policy(policy.get());
+    return engine.run();
+  };
+  const auto none = run("");
+  const auto a = run("repartition:budget=0");
+  const auto b = run("two-level:max_node_boost=0");
+
+  EXPECT_NE(a.flat.exec_time, none.flat.exec_time)
+      << "the inner balancers must actually have acted";
+  EXPECT_EQ(a.flat.exec_time, b.flat.exec_time);
+  EXPECT_EQ(a.flat.events, b.flat.events);
+  EXPECT_EQ(a.flat.priority_resets, b.flat.priority_resets);
+  ASSERT_EQ(a.flat.metrics.ranks.size(), b.flat.metrics.ranks.size());
+  for (std::size_t r = 0; r < a.flat.metrics.ranks.size(); ++r) {
+    const auto& ma = a.flat.metrics.ranks[r];
+    const auto& mb = b.flat.metrics.ranks[r];
+    EXPECT_EQ(ma.compute, mb.compute) << "rank " << r;
+    EXPECT_EQ(ma.wait, mb.wait) << "rank " << r;
+    EXPECT_EQ(ma.spin, mb.spin) << "rank " << r;
+    EXPECT_EQ(ma.preempted, mb.preempted) << "rank " << r;
+    EXPECT_EQ(ma.priority_changes, mb.priority_changes) << "rank " << r;
+  }
 }
 
 // --- placement moves --------------------------------------------------------
@@ -575,7 +646,7 @@ TEST(NewFamilies, AllocationRepairsMisseatingWherePrioritiesCannot) {
 
   // Both heavies share a core, so every per-core wait gap is symmetric
   // and the paper's priority balancer finds nothing to do.
-  core::DynamicBalancer dynamic;
+  DynamicBalancer dynamic;
   const auto under_dynamic = run_flat(app, kMisseated, &dynamic);
   EXPECT_EQ(dynamic.adjustments(), 0u);
   EXPECT_EQ(under_dynamic.exec_time, none.exec_time);

@@ -11,8 +11,8 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "core/static_policy.hpp"
 #include "mpisim/engine.hpp"
+#include "policy/static_priority.hpp"
 #include "simcheck/differ.hpp"
 #include "simcheck/fuzz.hpp"
 #include "simcheck/invariants.hpp"
@@ -44,7 +44,7 @@ TEST(OracleDifferential, MatchesEngineOverSeeds) {
 TEST(OracleDifferential, ExplicitDiffApiAgrees) {
   const Scenario sc = build_scenario(random_flat_spec(77));
   mpisim::Engine engine(sc.app, sc.placement, sc.config);
-  std::optional<core::StaticPriorityPolicy> policy;
+  std::optional<policy::StaticPriorityPolicy> policy;
   if (!sc.priorities.empty()) {
     policy.emplace(sc.priorities);
     engine.set_policy(&*policy);
@@ -62,7 +62,7 @@ TEST(OracleDifferential, ExplicitDiffApiAgrees) {
 TEST(OracleDifferential, DifferReportsATamperedField) {
   const Scenario sc = build_scenario(random_flat_spec(78));
   mpisim::Engine engine(sc.app, sc.placement, sc.config);
-  std::optional<core::StaticPriorityPolicy> policy;
+  std::optional<policy::StaticPriorityPolicy> policy;
   if (!sc.priorities.empty()) {
     policy.emplace(sc.priorities);
     engine.set_policy(&*policy);
@@ -83,7 +83,7 @@ TEST(Invariants, ObserverRunsCleanOnAFuzzScenario) {
   mpisim::Engine engine(sc.app, sc.placement, sc.config);
   InvariantObserver observer;
   engine.add_observer(&observer);
-  std::optional<core::StaticPriorityPolicy> policy;
+  std::optional<policy::StaticPriorityPolicy> policy;
   if (!sc.priorities.empty()) {
     policy.emplace(sc.priorities);
     engine.set_policy(&*policy);

@@ -5,16 +5,16 @@
 #include <array>
 #include <cmath>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
-#include "core/balancer.hpp"
-#include "core/static_policy.hpp"
 #include "isa/kernel.hpp"
 #include "mpisim/engine.hpp"
+#include "policy/static_priority.hpp"
 #include "runner/batch.hpp"
 #include "runner/report.hpp"
 #include "smt/chip.hpp"
@@ -315,15 +315,19 @@ mpisim::EngineConfig smt4_engine_config() {
 TEST(Smt4Engine, RunsEndToEndAndPrioritiesReduceImbalance) {
   const mpisim::EngineConfig config = smt4_engine_config();
   const auto placement = mpisim::Placement::identity(8, 4);
-  core::Balancer balancer(config);
+  const auto sampler =
+      std::make_shared<smt::ThroughputSampler>(config.chip, config.sampler);
   const mpisim::Application app = smt4_app(4.0);
 
-  const mpisim::RunResult reference = balancer.run(app, placement);
+  mpisim::Engine reference_engine(app, placement, config, sampler);
+  const mpisim::RunResult reference = reference_engine.run();
   EXPECT_GT(reference.exec_time, 0.0);
   EXPECT_GT(reference.imbalance, 0.2);  // one hog per core, three waiting
 
-  core::StaticPriorityPolicy policy({4, 6, 4, 4, 4, 6, 4, 4});
-  const mpisim::RunResult balanced = balancer.run(app, placement, &policy);
+  policy::StaticPriorityPolicy policy({4, 6, 4, 4, 4, 6, 4, 4});
+  mpisim::Engine balanced_engine(app, placement, config, sampler);
+  balanced_engine.set_policy(&policy);
+  const mpisim::RunResult balanced = balanced_engine.run();
   EXPECT_LT(balanced.imbalance, reference.imbalance);
   EXPECT_LT(balanced.exec_time, reference.exec_time);
 }
@@ -339,7 +343,7 @@ TEST(Smt4Engine, BatchRunnerCarriesTheSmt4Chip) {
     spec.config = smt4_engine_config();
     spec.make_policy = [priorities = c.priorities] {
       return std::unique_ptr<mpisim::BalancePolicy>(
-          new core::StaticPriorityPolicy(priorities));
+          new policy::StaticPriorityPolicy(priorities));
     };
     specs.push_back(std::move(spec));
   }

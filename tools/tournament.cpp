@@ -242,10 +242,8 @@ std::vector<std::shared_ptr<ScenarioData>> build_corpus(bool smoke,
 /// did-you-mean error instead of N identical failed runs.
 void validate_entrant(const std::string& spec) {
   if (spec == "none") return;
-  const mpisim::Placement dummy = mpisim::Placement::identity(2);
   policy::PolicyContext context;
   context.num_ranks = 2;
-  context.placement = &dummy;
   (void)policy::Registry::instance().make(spec, context);
 }
 
@@ -308,16 +306,6 @@ int run_tournament(bool smoke, std::uint64_t seed_base,
         if (entrant == "none") return nullptr;
         policy::PolicyContext context;
         context.num_ranks = scenario->app.size();
-        context.threads_per_core =
-            (scenario->cluster_config ? scenario->cluster_config->node.chip
-                                      : scenario->config.chip)
-                .threads_per_core();
-        context.placement = scenario->cluster_placement
-                                ? &scenario->cluster_placement->within
-                                : &scenario->placement;
-        context.cluster = scenario->cluster_placement
-                              ? &*scenario->cluster_placement
-                              : nullptr;
         return policy::Registry::instance().make(entrant, context);
       };
       specs.push_back(std::move(spec));
