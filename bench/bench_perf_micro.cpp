@@ -3,6 +3,7 @@
 // and the discrete-event engine.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string_view>
@@ -153,17 +154,28 @@ void BM_SamplerColdMeasurement(benchmark::State& state, ColdShape shape,
   // worker pays it. Items are the core-cycles the measurement covers,
   // num_cores x (warm-up + window), so items/s is simulated core-cycles
   // per second whether the sampler steps a core, skips it as idle or
-  // measures cores one by one.
+  // measures cores one by one. busy_core_cycles counts only the cores
+  // with a bound context, the ones that are actually stepped: its rate is
+  // the cost of a busy core-cycle.
   const smt::ChipConfig chip;
   const smt::ChipLoad load = cold_load(shape);
+  std::int64_t busy_cores = 0;
+  for (std::uint32_t core = 0; core < chip.num_cores; ++core) {
+    const auto first = load.contexts.begin() + core * chip.threads_per_core();
+    busy_cores += std::any_of(first, first + chip.threads_per_core(),
+                              [](const auto& c) { return c.has_value(); });
+  }
   for (auto _ : state) {
     smt::ThroughputSampler sampler(chip, options);
     benchmark::DoNotOptimize(sampler.sample(load));
   }
+  const auto cycles = static_cast<std::int64_t>(options.warmup_cycles +
+                                                options.window_cycles);
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(chip.num_cores) *
-                          static_cast<std::int64_t>(options.warmup_cycles +
-                                                    options.window_cycles));
+                          static_cast<std::int64_t>(chip.num_cores) * cycles);
+  state.counters["busy_core_cycles"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * busy_cores * cycles),
+      benchmark::Counter::kIsRate);
 }
 BENCHMARK_CAPTURE(BM_SamplerColdMeasurement, busy_pair, ColdShape::kBusyPair,
                   kDefaultGrade)

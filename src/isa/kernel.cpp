@@ -4,6 +4,7 @@
 #include <numeric>
 
 #include "common/error.hpp"
+#include "isa/stream.hpp"
 
 namespace smtbal::isa {
 
@@ -14,7 +15,9 @@ void KernelParams::validate() const {
     sum += f;
   }
   SMTBAL_REQUIRE(std::abs(sum - 1.0) < 1e-6, "kernel mix must sum to 1");
-  SMTBAL_REQUIRE(mean_dep_dist >= 0.0, "mean_dep_dist must be >= 0");
+  SMTBAL_REQUIRE(mean_dep_dist == 0.0 ||
+                     (mean_dep_dist >= 1.0 && mean_dep_dist <= 1e9),
+                 "mean_dep_dist must be 0 or in [1, 1e9]");
   SMTBAL_REQUIRE(dep_fraction >= 0.0 && dep_fraction <= 1.0,
                  "dep_fraction must be in [0,1]");
   SMTBAL_REQUIRE(working_set_bytes > 0, "working set must be non-empty");
@@ -52,7 +55,7 @@ KernelId KernelRegistry::register_kernel(const KernelParams& params) {
     }
   }
   const auto id = static_cast<KernelId>(kernels_.size());
-  kernels_.push_back(Kernel{id, params});
+  kernels_.push_back(Kernel{id, params, DrawTables::build(params)});
   return id;
 }
 

@@ -10,6 +10,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -30,8 +31,8 @@ struct KernelParams {
   /// Order follows OpClass: FXU, FPU, LD, ST, BR.
   std::array<double, kNumOpClasses> mix{0.5, 0.0, 0.25, 0.1, 0.15};
 
-  /// Mean register-dependency distance (geometric). Larger = more ILP.
-  /// 0 disables dependencies entirely.
+  /// Mean register-dependency distance (geometric, clamped to [1, 64]).
+  /// Larger = more ILP. 0 disables dependencies; else it is in [1, 1e9].
   double mean_dep_dist = 8.0;
 
   /// Fraction of ops that carry a dependency at all.
@@ -67,10 +68,14 @@ struct KernelParams {
   void validate() const;
 };
 
-/// An interned kernel: params plus registry id.
+struct DrawTables;
+
+/// An interned kernel: params plus registry id, and the draw tables its
+/// streams share (built once, at registration).
 struct Kernel {
   KernelId id = 0;
   KernelParams params;
+  std::shared_ptr<const DrawTables> draw;
 
   [[nodiscard]] std::string_view name() const { return params.name; }
 };

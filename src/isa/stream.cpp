@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <limits>
 
 #include "common/error.hpp"
@@ -9,23 +10,12 @@
 namespace smtbal::isa {
 
 StreamGen::StreamGen(const Kernel& kernel, std::uint64_t seed)
-    : kernel_id_(kernel.id), params_(kernel.params), rng_(seed) {
+    : kernel_id_(kernel.id), params_(kernel.params), draw_(kernel.draw),
+      rng_(seed) {
   params_.validate();
-  double acc = 0.0;
-  for (int i = 0; i < kNumOpClasses; ++i) {
-    acc += params_.mix[static_cast<std::size_t>(i)];
-    cum_mix_[i] = acc;
-  }
+  SMTBAL_REQUIRE(draw_ != nullptr,
+                 "StreamGen needs a kernel interned by a KernelRegistry");
   base_ = slice_base(seed);
-  if (params_.mean_dep_dist > 0.0) {
-    const double p = 1.0 / params_.mean_dep_dist;
-    log_one_minus_p_ = std::log(1.0 - p);
-    // mean_dep_dist <= 1 degenerates (log_one_minus_p_ is -inf or NaN);
-    // those configurations keep the original per-call formula.
-    if (std::isfinite(log_one_minus_p_) && log_one_minus_p_ < 0.0) {
-      build_dep_table();
-    }
-  }
   stride_fits_ = params_.stride_bytes < params_.working_set_bytes;
 }
 
@@ -45,19 +35,49 @@ AddressRange StreamGen::footprint(const Kernel& kernel, std::uint64_t seed) {
   return AddressRange{slice_base(seed), kernel.params.working_set_bytes};
 }
 
-void StreamGen::build_dep_table() {
-  const auto exact = [this](double u) {
-    return std::clamp(std::ceil(std::log(u) / log_one_minus_p_), 1.0, 64.0);
+template <int N, int BucketBits>
+void StepTable<N, BucketBits>::fill_buckets() {
+  constexpr int kShift = 53 - BucketBits;
+  int v = 0;
+  for (std::uint64_t b = 0; b < std::size(bucket); ++b) {
+    const std::uint64_t lo = b << kShift;
+    const std::uint64_t hi = lo + ((std::uint64_t{1} << kShift) - 1);
+    while (v < N && lo >= limit[v]) ++v;
+    const bool walk = v < N && hi >= limit[v];
+    bucket[b] = static_cast<std::uint8_t>(walk ? kWalk | v : v);
+  }
+}
+
+std::shared_ptr<const DrawTables> DrawTables::build(
+    const KernelParams& params) {
+  constexpr double kScale = 0x1.0p53;
+  auto tables = std::make_shared<DrawTables>();
+  // Class limits are non-decreasing: every mix entry is >= 0.
+  double acc = 0.0;
+  for (int i = 0; i < kNumOpClasses; ++i) {
+    acc += params.mix[static_cast<std::size_t>(i)];
+    tables->classes.limit[i] =
+        static_cast<std::uint64_t>(std::ceil(acc * kScale));
+  }
+  tables->classes.fill_buckets();
+  if (params.mean_dep_dist <= 0.0) return tables;  // no distances drawn
+
+  // dist(u) = clamp(ceil(log(u)/log(1-p)), 1, 64) with u = 1 - uniform()
+  // is weakly decreasing in u (log is monotone, the divisor is a negative
+  // constant, ceil and clamp are monotone), so it is fully described by
+  // thresh[k], the largest double u mapping to >= k. Each boundary is
+  // seeded from the analytic inverse exp((k-1)L) and walked double by
+  // double until the probed expression flips, so the limits reproduce
+  // the formula bit for bit. mean_dep_dist == 1 gives L = -inf: every u
+  // maps to 1.
+  const double log_one_minus_p = std::log(1.0 - 1.0 / params.mean_dep_dist);
+  SMTBAL_CHECK(log_one_minus_p < 0.0);  // validate() bounds mean_dep_dist
+  const auto exact = [log_one_minus_p](double u) {
+    return std::clamp(std::ceil(std::log(u) / log_one_minus_p), 1.0, 64.0);
   };
-  // dist(u) = clamp(ceil(log(u)/log(1-p))) is weakly decreasing in u (log
-  // is monotone, the divisor is a negative constant, ceil and clamp are
-  // monotone), so it is fully described by the largest u mapping to >= k
-  // for each k. Seed each boundary from the analytic inverse exp((k-1)L)
-  // and walk double-by-double until the probed expression flips.
-  dep_thresh_[1] = 1.0;  // the clamp floor: every u in (0,1] maps to >= 1
+  double thresh = 1.0;  // the clamp floor: every u in (0,1] maps to >= 1
   for (int k = 2; k <= 64; ++k) {
-    double g =
-        std::exp(static_cast<double>(k - 1) * log_one_minus_p_);
+    double g = std::exp(static_cast<double>(k - 1) * log_one_minus_p);
     if (!(g > 0.0)) g = std::numeric_limits<double>::denorm_min();
     if (g > 1.0) g = 1.0;
     while (g < 1.0 && exact(g) >= static_cast<double>(k)) {
@@ -66,18 +86,13 @@ void StreamGen::build_dep_table() {
     while (g > 0.0 && exact(g) < static_cast<double>(k)) {
       g = std::nextafter(g, 0.0);
     }
-    SMTBAL_CHECK(g <= dep_thresh_[k - 1]);
-    dep_thresh_[k] = g;
+    SMTBAL_CHECK(g <= thresh);
+    thresh = g;
+    const auto scaled = static_cast<std::uint64_t>(std::floor(thresh * kScale));
+    tables->dep_dists.limit[k - 1] = (std::uint64_t{1} << 53) - scaled;
   }
-  dep_table_valid_ = true;
-}
-
-OpClass StreamGen::pick_class() {
-  const double u = rng_.uniform();
-  for (int i = 0; i < kNumOpClasses; ++i) {
-    if (u < cum_mix_[i]) return static_cast<OpClass>(i);
-  }
-  return OpClass::kFixed;
+  tables->dep_dists.fill_buckets();  // limit[0] = 0: every draw is >= 1
+  return tables;
 }
 
 std::uint64_t StreamGen::next_address() {
@@ -97,28 +112,13 @@ std::uint64_t StreamGen::next_address() {
   return base_ + cursor_;
 }
 
-std::uint16_t StreamGen::pick_dep_dist() {
-  if (params_.mean_dep_dist <= 0.0 || !rng_.chance(params_.dep_fraction)) {
-    return 0;
-  }
-  // Geometric distribution with the requested mean, clamped to [1, 64].
-  const double u = 1.0 - rng_.uniform();
-  if (dep_table_valid_) {
-    // Expected scan length is the mean distance itself (small for every
-    // shipped kernel); each step is one compare against a cached boundary.
-    std::uint16_t dist = 1;
-    while (dist < 64 && u <= dep_thresh_[dist + 1]) ++dist;
-    return dist;
-  }
-  const auto dist = static_cast<std::uint16_t>(
-      std::clamp(std::ceil(std::log(u) / log_one_minus_p_), 1.0, 64.0));
-  return dist;
-}
-
 MicroOp StreamGen::next() {
   MicroOp op;
-  op.cls = pick_class();
-  op.dep_dist = pick_dep_dist();
+  op.cls = draw_->op_class(rng_() >> 11);
+  // Geometric distance with the requested mean, clamped to [1, 64].
+  if (params_.mean_dep_dist > 0.0 && rng_.chance(params_.dep_fraction)) {
+    op.dep_dist = draw_->dep_dist(rng_() >> 11);
+  }
   switch (op.cls) {
     case OpClass::kFixed:
       op.exec_latency = params_.fxu_latency;

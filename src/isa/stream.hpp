@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 
 #include "common/rng.hpp"
 #include "common/types.hpp"
@@ -20,6 +21,51 @@ namespace smtbal::isa {
 struct AddressRange {
   std::uint64_t base = 0;
   std::uint64_t bytes = 0;
+};
+
+/// v(r) = the number of limits <= r, for non-decreasing limits and a
+/// 53-bit draw r. A bucket table indexed by r's top bits answers in one
+/// load unless a limit falls inside the bucket; then the entry is kWalk |
+/// the count at the bucket's start, and the compare walk finishes it.
+template <int N, int BucketBits>
+struct StepTable {
+  static constexpr std::uint8_t kWalk = 0x80;
+  std::uint64_t limit[N] = {};
+  std::uint8_t bucket[1u << BucketBits] = {};
+
+  void fill_buckets();  // from `limit`, in O(buckets + N)
+  [[nodiscard]] int count(std::uint64_t r) const {
+    const std::uint8_t entry = bucket[r >> (53 - BucketBits)];
+    if ((entry & kWalk) == 0) return entry;
+    int v = entry & ~kWalk;
+    while (v < N && r >= limit[v]) ++v;
+    return v;
+  }
+};
+
+/// Integer forms of a kernel's class and dependency-distance draws, built
+/// once per kernel (KernelRegistry::register_kernel) and shared by its
+/// streams. A draw r = rng() >> 11 is exactly uniform() * 2^53 and
+/// 1 - uniform() exactly (2^53 - r) * 2^-53, so each double comparison of
+/// the original formulas is an exact integer one:
+///   uniform() < c       iff r <  ceil(c * 2^53)
+///   1 - uniform() <= t  iff r >= 2^53 - floor(t * 2^53)
+struct DrawTables {
+  [[nodiscard]] static std::shared_ptr<const DrawTables> build(
+      const KernelParams& params);
+
+  /// The first class i with uniform() < mix[0] + ... + mix[i], else kFixed.
+  [[nodiscard]] OpClass op_class(std::uint64_t r) const {
+    const int i = classes.count(r);
+    return static_cast<OpClass>(i < kNumOpClasses ? i : 0);
+  }
+  /// The geometric dependency distance in [1, 64].
+  [[nodiscard]] std::uint16_t dep_dist(std::uint64_t r) const {
+    return static_cast<std::uint16_t>(dep_dists.count(r));
+  }
+
+  StepTable<kNumOpClasses, 8> classes;  ///< limit[i] for mix[0..i]
+  StepTable<64, 10> dep_dists;          ///< limit[k - 1]: distance >= k
 };
 
 class StreamGen {
@@ -45,30 +91,16 @@ class StreamGen {
   /// Base of the address-space slice owned by the stream seeded `seed`.
   [[nodiscard]] static std::uint64_t slice_base(std::uint64_t seed);
 
-  [[nodiscard]] OpClass pick_class();
   [[nodiscard]] std::uint64_t next_address();
-  [[nodiscard]] std::uint16_t pick_dep_dist();
 
   KernelId kernel_id_;
   KernelParams params_;
+  std::shared_ptr<const DrawTables> draw_;
   Rng rng_;
   std::uint64_t cursor_ = 0;   // current position in the working set
   std::uint64_t base_ = 0;     // base address (distinct per stream)
   InstrCount generated_ = 0;
-  // Cumulative mix thresholds for class selection.
-  double cum_mix_[kNumOpClasses] = {};
-  void build_dep_table();
-
-  // Per-op-constant factors hoisted out of the generation hot path; both
-  // reproduce the original per-call expressions bit for bit.
-  double log_one_minus_p_ = 0.0;  // log(1 - 1/mean_dep_dist)
-  bool stride_fits_ = false;      // stride < working set: subtract, not mod
-  // Exact u-thresholds of the geometric quantile: dep_thresh_[k] is the
-  // largest double u with ceil(log(u)/log(1-p)) clamped to [1,64] >= k,
-  // found at construction by probing that very expression, so the runtime
-  // comparison scan returns bit-identical distances without calling log.
-  bool dep_table_valid_ = false;
-  double dep_thresh_[65] = {};
+  bool stride_fits_ = false;   // stride < working set: subtract, not mod
 };
 
 }  // namespace smtbal::isa

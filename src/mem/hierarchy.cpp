@@ -13,6 +13,8 @@ void HierarchyConfig::validate() const {
   l3.validate();
   SMTBAL_REQUIRE(l1d.line_bytes == l2.line_bytes && l2.line_bytes == l3.line_bytes,
                  "all cache levels must share the line size");
+  SMTBAL_REQUIRE(miss_latency() <= kMaxMissLatency,
+                 "miss latency l1d + l2 + l3 + memory exceeds 65535 cycles");
 }
 
 Hierarchy::Hierarchy(HierarchyConfig config)

@@ -37,6 +37,14 @@ struct HierarchyConfig {
                  .hit_latency = 87};
   std::uint32_t memory_latency = 230;
 
+  /// Cap on miss_latency(), which sizes the core's wake wheel.
+  static constexpr std::uint64_t kMaxMissLatency = 65535;
+  /// l1d + l2 + l3 + memory: the longest access the hierarchy returns.
+  [[nodiscard]] std::uint64_t miss_latency() const {
+    return std::uint64_t{l1d.hit_latency} + l2.hit_latency + l3.hit_latency +
+           memory_latency;
+  }
+
   void validate() const;
   [[nodiscard]] bool operator==(const HierarchyConfig&) const = default;
 };

@@ -47,41 +47,46 @@ Core::Core(const CoreConfig& config, mem::Hierarchy& hierarchy,
   hot_arena_.resize(capacity * threads_.size());
   cold_arena_.resize(capacity * threads_.size());
   ready_arena_.resize(std::size_t{ready_words_} * threads_.size());
+  // The longest wait: an exec_latency (<= 255) or a load missing every level.
+  const std::size_t buckets = std::bit_ceil(
+      std::max<std::uint64_t>(255, hierarchy.config().miss_latency()) + 1);
+  wheel_mask_ = static_cast<std::uint32_t>(buckets - 1);
+  wheel_arena_.assign(buckets * threads_.size(), kNoneSlot);
   for (std::size_t t = 0; t < threads_.size(); ++t) {
     threads_[t].hot = hot_arena_.data() + capacity * t;
     threads_[t].cold = cold_arena_.data() + capacity * t;
     threads_[t].ready = ready_arena_.data() + std::size_t{ready_words_} * t;
+    threads_[t].wheel = wheel_arena_.data() + buckets * t;
   }
 }
 
 void Core::clear_window(ThreadState& thread) {
   thread.head = 0;
   thread.count = 0;
-  thread.wakes.clear();
+  if (thread.parked != 0) {
+    std::fill_n(thread.wheel, wheel_mask_ + 1, kNoneSlot);
+    thread.parked = 0;
+  }
   std::fill_n(thread.ready, ready_words_, 0);
   thread.ready_count = 0;
 }
 
 void Core::process_wakes(ThreadState& thread) {
-  while (!thread.wakes.empty() && thread.wakes.front().at <= now_) {
-    std::pop_heap(thread.wakes.begin(), thread.wakes.end(),
-                  [](const WakeEvent& a, const WakeEvent& b) {
-                    return a.at > b.at;
-                  });
-    const std::uint32_t slot = thread.wakes.back().slot;
-    thread.wakes.pop_back();
+  std::uint32_t& bucket = thread.wheel[now_ & wheel_mask_];
+  for (std::uint32_t slot = bucket; slot != kNoneSlot;
+       slot = thread.hot[slot].next_consumer) {
     set_ready(thread, slot);
+    --thread.parked;
   }
+  bucket = kNoneSlot;
 }
 
-void Core::sleep_entry(ThreadState& thread, std::uint32_t slot, Cycle until) {
-  thread.hot[slot].stall_until = until;
-  clear_ready(thread, slot);
-  thread.wakes.push_back(WakeEvent{until, slot});
-  std::push_heap(thread.wakes.begin(), thread.wakes.end(),
-                 [](const WakeEvent& a, const WakeEvent& b) {
-                   return a.at > b.at;
-                 });
+void Core::park(ThreadState& thread, std::uint32_t slot, Cycle at) {
+  SMTBAL_DCHECK(at > now_ && at - now_ <= wheel_mask_);
+  std::uint32_t& bucket = thread.wheel[at & wheel_mask_];
+  thread.hot[slot].next_consumer = bucket;
+  bucket = slot;
+  ++thread.parked;
 }
 
 std::uint32_t Core::scan_bits(const std::uint64_t* words, std::uint32_t lo,
@@ -105,23 +110,15 @@ std::uint32_t Core::next_ready(const ThreadState& thread,
   const std::uint32_t capacity = ring_mask_ + 1;
   // The window's program-order positions map to at most two contiguous
   // slot ranges (the ring wraps once), so masked word scans cover it.
-  // Entries still inside a known stall bound are consumed here in the
-  // tight loop — a stalled candidate has no effect on budget or unit
-  // pools, so skipping it is identical to examining and rejecting it.
   while (pos < thread.count) {
     const std::uint32_t start = (thread.head + pos) & ring_mask_;
     const std::uint32_t run = std::min(capacity - start, thread.count - pos);
     const std::uint32_t found = scan_bits(thread.ready, start, start + run);
-    if (found == kNoneSlot) {
-      pos += run;
-      continue;
+    if (found != kNoneSlot) {
+      pos += found - start;
+      return found;
     }
-    pos += found - start;
-    if (thread.hot[found].stall_until > now_) {
-      ++pos;  // known-stalled: consumed for this cycle, keep scanning
-      continue;
-    }
-    return found;
+    pos += run;
   }
   return kNoneSlot;
 }
@@ -222,37 +219,28 @@ void Core::decode_thread(ThreadState& thread) {
     cold.seq = thread.next_seq++;
     cold.completion = 0;
     hot.decode_cycle = now_;
-    hot.stall_until = 0;
     hot.issued = false;
-    set_ready(thread, slot);
     ++thread.count;
     ++gct_used_;
 
     // Resolve the register dependency once, at decode, instead of
     // re-deriving it on every examination. A consumer whose producer has
     // not issued cannot issue under any schedule until the producer does,
-    // so it parks on the producer's consumer chain and is woken with the
-    // exact completion bound when the producer issues: one wake per
-    // dependence edge replaces a per-cycle re-check.
+    // so it joins the producer's consumer chain and moves to the wake
+    // wheel when the producer issues; one behind an issued producer goes
+    // to the wheel at once. Either way it enters the ready mask exactly
+    // on the cycle its dependency clears.
     hot.consumer_head = kNoneSlot;
-    if (cold.op.dep_dist != 0 && cold.op.dep_dist <= cold.seq) {
-      const std::uint64_t producer_seq = cold.seq - cold.op.dep_dist;
-      const std::uint64_t front_seq = thread.cold[thread.head].seq;
-      if (producer_seq >= front_seq) {  // else: retired, hence complete
-        const std::uint32_t producer =
-            (thread.head + static_cast<std::uint32_t>(producer_seq - front_seq)) &
-            ring_mask_;
-        if (!thread.hot[producer].issued) {
-          clear_ready(thread, slot);
-          hot.next_consumer = thread.hot[producer].consumer_head;
-          thread.hot[producer].consumer_head = slot;
-        } else if (const Cycle done = thread.cold[producer].completion;
-                   done > now_ + kSleepHorizon) {
-          sleep_entry(thread, slot, done);
-        } else if (done > now_) {
-          hot.stall_until = done;
-        }
-      }
+    const std::uint32_t producer = producer_of(thread, slot);
+    if (producer == kNoneSlot) {
+      set_ready(thread, slot);
+    } else if (!thread.hot[producer].issued) {
+      hot.next_consumer = thread.hot[producer].consumer_head;
+      thread.hot[producer].consumer_head = slot;
+    } else if (thread.cold[producer].completion > now_) {
+      park(thread, slot, thread.cold[producer].completion);
+    } else {
+      set_ready(thread, slot);
     }
 
     if (cold.op.cls == isa::OpClass::kBranch) {
@@ -275,31 +263,15 @@ void Core::decode_thread(ThreadState& thread) {
   }
 }
 
-// Returns the cycle from which `entry`'s register dependency is satisfied:
-// <= now_ means "ready now". Once the producer has issued, its completion
-// cycle is exact and final (issued ops never re-issue; retiring requires
-// completion <= now_, which keeps the bound valid through retirement).
-// While the producer has not issued, its own stall_until is a proven lower
-// bound on its issue cycle, and completion = issue + max(latency, 1), so
-// the dependency cannot clear before stall_until + 1; this propagates a
-// long stall (e.g. an off-chip load miss) down the whole dependency chain
-// instead of re-deriving every link every cycle.
-Cycle Core::dep_stall_until(const ThreadState& thread,
-                            std::uint32_t slot) const {
+std::uint32_t Core::producer_of(const ThreadState& thread,
+                               std::uint32_t slot) const {
   const ColdSlot& entry = thread.cold[slot];
-  if (entry.op.dep_dist == 0) return 0;
-  if (entry.op.dep_dist > entry.seq) return 0;  // producer predates window
+  if (entry.op.dep_dist == 0 || entry.op.dep_dist > entry.seq) return kNoneSlot;
   const std::uint64_t producer_seq = entry.seq - entry.op.dep_dist;
-  if (thread.count == 0 || producer_seq < thread.cold[thread.head].seq) {
-    return 0;  // producer already retired, hence complete
-  }
-  const std::uint64_t index = producer_seq - thread.cold[thread.head].seq;
-  const std::uint32_t producer =
-      static_cast<std::uint32_t>(thread.head + index) & ring_mask_;
-  if (!thread.hot[producer].issued) {
-    return std::max(now_ + 1, thread.hot[producer].stall_until + 1);
-  }
-  return thread.cold[producer].completion;
+  const std::uint64_t front_seq = thread.cold[thread.head].seq;
+  if (producer_seq < front_seq) return kNoneSlot;  // retired, hence complete
+  return (thread.head + static_cast<std::uint32_t>(producer_seq - front_seq)) &
+         ring_mask_;
 }
 
 void Core::issue_op(ThreadState& thread, std::uint32_t slot) {
@@ -327,17 +299,11 @@ void Core::issue_op(ThreadState& thread, std::uint32_t slot) {
   cold.completion = now_ + std::max<std::uint32_t>(latency, 1);
   clear_ready(thread, slot);
 
-  // Wake the consumers parked on this entry: its completion is now their
-  // exact dependency bound (completion > now_, so each either sleeps on
-  // the wake heap or re-enters the mask carrying the cached bound).
+  // The consumers chained on this entry wake when it completes
+  // (completion > now_, so the bucket is a future one).
   for (std::uint32_t consumer = hot.consumer_head; consumer != kNoneSlot;) {
     const std::uint32_t next = thread.hot[consumer].next_consumer;
-    if (cold.completion > now_ + kSleepHorizon) {
-      sleep_entry(thread, consumer, cold.completion);
-    } else {
-      thread.hot[consumer].stall_until = cold.completion;
-      set_ready(thread, consumer);
-    }
+    park(thread, consumer, cold.completion);
     consumer = next;
   }
   hot.consumer_head = kNoneSlot;
@@ -349,52 +315,41 @@ void Core::issue_op(ThreadState& thread, std::uint32_t slot) {
 }
 
 void Core::issue() {
-  std::uint32_t fxu = config_.fxu_units;
-  std::uint32_t fpu = config_.fpu_units;
-  std::uint32_t lsu = config_.lsu_units;
-  std::uint32_t bru = config_.bru_units;
+  // Execution-unit pools, indexed through kUnitOf: FXU, FPU, LSU, BRU.
+  static constexpr std::uint8_t kUnitOf[isa::kNumOpClasses] = {0, 1, 2, 2, 3};
+  std::uint32_t units[4] = {config_.fxu_units, config_.fpu_units,
+                            config_.lsu_units, config_.bru_units};
   std::uint32_t budget = config_.issue_width;
 
   // Oldest-first across all contexts: scan each thread's ready mask in
   // program order, merging by decode cycle (ties broken by rotating the
   // start thread so no context gets a structural advantage). The ready set
-  // is exactly the unissued entries minus the provably-stalled ones, and a
-  // stalled candidate has no effect on budget or unit pools, so the scan
-  // examines the same ops the old full-window walk would have issued.
+  // is exactly the unissued entries whose dependency has cleared; an entry
+  // still waiting would have no effect on budget or unit pools if it were
+  // examined, so the scan examines the same ops the old full-window walk
+  // would have issued.
   const std::size_t num = threads_.size();
   std::uint32_t candidates = 0;
   for (std::size_t t = 0; t < num; ++t) {
     process_wakes(threads_[t]);
     candidates += threads_[t].ready_count;
   }
-  // Whole-core fast exit: during a long shared stall (every in-flight entry
-  // issued, chained on a producer, or asleep on the wake heap) there is
-  // nothing to scan, which is the common state behind an off-chip miss.
+  // Whole-core fast exit: when every in-flight entry is issued, chained on
+  // a producer, or on the wake wheel there is nothing to scan, which is
+  // the common state behind an off-chip miss.
   if (candidates == 0) return;
 
-  // Examines one candidate. The pool and dependency rejections are both
-  // pure (no budget, pool or entry mutation beyond the cached stall bound),
-  // so checking the cheap one first cannot change which ops issue. Short
-  // dependency stalls stay in the ready mask (one cached-bound rejection
-  // per cycle is cheaper than heap traffic); long ones — load misses —
-  // sleep until their exact wake cycle.
+  // Examines one candidate. A ready entry's dependency has cleared — the
+  // wheel wakes it on its producer's completion cycle — so only the unit
+  // pool can reject it (the debug build re-derives the dependency).
   const auto attempt = [&](ThreadState& thread, std::uint32_t slot) {
-    std::uint32_t* pool = nullptr;
-    switch (thread.cold[slot].op.cls) {
-      case isa::OpClass::kFixed: pool = &fxu; break;
-      case isa::OpClass::kFloat: pool = &fpu; break;
-      case isa::OpClass::kLoad:
-      case isa::OpClass::kStore: pool = &lsu; break;
-      case isa::OpClass::kBranch: pool = &bru; break;
-    }
-    if (*pool == 0) return;  // structural hazard; younger ops may still go
-    // No dependency check here: stall_until is the *exact* dependency-ready
-    // cycle — resolved at decode when the producer had already issued, or
-    // installed by the producer's consumer-chain walk when it did — and
-    // next_ready() only surfaces entries past their bound. The debug build
-    // cross-checks that invariant against the full re-derivation.
-    SMTBAL_DCHECK(dep_stall_until(thread, slot) <= now_);
-    --*pool;
+    std::uint32_t& pool =
+        units[kUnitOf[static_cast<std::size_t>(thread.cold[slot].op.cls)]];
+    if (pool == 0) return;  // structural hazard; younger ops may still go
+    SMTBAL_DCHECK(producer_of(thread, slot) == kNoneSlot ||
+                  (thread.hot[producer_of(thread, slot)].issued &&
+                   thread.cold[producer_of(thread, slot)].completion <= now_));
+    --pool;
     --budget;
     issue_op(thread, slot);
   };

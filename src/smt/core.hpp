@@ -119,9 +119,6 @@ class Core {
   void skip_idle(Cycle cycles);
 
   [[nodiscard]] Cycle now() const { return now_; }
-  [[nodiscard]] std::uint32_t num_threads() const {
-    return config_.threads_per_core;
-  }
   [[nodiscard]] const ThreadPerf& perf(ThreadSlot slot) const;
   void reset_perf();
 
@@ -144,11 +141,6 @@ class Core {
   static constexpr std::uint32_t kNoneSlot = 0xFFFFFFFFu;
   /// issue() pick-loop marker: this thread's next candidate needs a rescan.
   static constexpr std::uint32_t kScanPending = 0xFFFFFFFEu;
-  /// Dependency stalls longer than this leave the ready mask and sleep on
-  /// the wake heap; shorter ones are re-rejected in place (cheaper than
-  /// two heap operations). Purely a cost trade-off — either policy issues
-  /// the same ops on the same cycles.
-  static constexpr Cycle kSleepHorizon = 8;
 
   /// The window is stored structure-of-arrays: the fields issue()'s
   /// per-cycle scan reads live in a compact HotSlot, everything touched
@@ -158,17 +150,13 @@ class Core {
   /// pointer chase.
   struct HotSlot {
     Cycle decode_cycle = 0;
-    /// Earliest cycle at which this entry's register dependency can be
-    /// satisfied (the producer's completion). While now_ is below this the
-    /// entry is skipped — or slept on the wake heap for long bounds —
-    /// without re-deriving the dependency; a failed dependency check has no
-    /// side effects, so that is identical to re-examining it every cycle.
-    Cycle stall_until = 0;
     /// Head of this entry's consumer chain: entries whose register
     /// dependency points at this one and which were decoded before it
-    /// issued. They sleep (ready bit clear) until this entry issues, at
-    /// which point its completion becomes their exact wake bound.
+    /// issued. They wait (ready bit clear) until this entry issues, at
+    /// which point they move to the wake wheel at its completion cycle.
     std::uint32_t consumer_head = kNoneSlot;
+    /// Link of whichever list a waiting entry is on: its producer's
+    /// consumer chain, or a wake-wheel bucket (never both at once).
     std::uint32_t next_consumer = kNoneSlot;
     bool issued = false;
   };
@@ -177,12 +165,6 @@ class Core {
     isa::MicroOp op;
     std::uint64_t seq = 0;
     Cycle completion = 0;  ///< valid once issued
-  };
-
-  /// Scheduled re-insertion of a slept entry into the ready mask.
-  struct WakeEvent {
-    Cycle at = 0;
-    std::uint32_t slot = 0;
   };
 
   /// Per-context state. The in-flight window is a fixed-capacity ring over
@@ -196,16 +178,17 @@ class Core {
     HwPriority priority = kDefaultPriority;
     HotSlot* hot = nullptr;    ///< this thread's arena slice (ring storage)
     ColdSlot* cold = nullptr;  ///< parallel array, same indexing
-    /// One bit per ring slot: set while the entry is unissued and not
-    /// provably dependency-stalled (i.e. an issue candidate).
+    /// One bit per ring slot: set while the entry is unissued and its
+    /// register dependency is satisfied (i.e. it can issue this cycle).
     std::uint64_t* ready = nullptr;
     /// Population count of `ready`, maintained by set_ready/clear_ready so
     /// issue() can skip threads — and whole cycles — with no candidates.
     std::uint32_t ready_count = 0;
-    /// Min-heap on `at`: entries slept by a known stall bound, re-inserted
-    /// into `ready` once now_ reaches the bound. At most one pending wake
-    /// per slot (an entry can only be re-examined after its wake fires).
-    std::vector<WakeEvent> wakes;
+    /// Wake wheel: bucket c & wheel_mask_ lists (through next_consumer)
+    /// the entries whose producer completes at cycle c. Every wait is
+    /// shorter than the wheel, so a bucket holds one cycle's wakes.
+    std::uint32_t* wheel = nullptr;
+    std::uint32_t parked = 0;  ///< entries on the wheel
     std::uint32_t head = 0;   ///< ring index of the oldest entry
     std::uint32_t count = 0;  ///< live entries in the ring
     std::uint64_t next_seq = 0;
@@ -230,11 +213,15 @@ class Core {
   void issue();
   void issue_op(ThreadState& thread, std::uint32_t slot);
   void retire(ThreadState& thread);
-  [[nodiscard]] Cycle dep_stall_until(const ThreadState& thread,
-                                      std::uint32_t slot) const;
+  /// Window slot of `slot`'s register producer; kNoneSlot when it has
+  /// none or it has retired.
+  [[nodiscard]] std::uint32_t producer_of(const ThreadState& thread,
+                                          std::uint32_t slot) const;
   void clear_window(ThreadState& thread);
+  /// Moves the entries waking at now_ into the ready mask.
   void process_wakes(ThreadState& thread);
-  void sleep_entry(ThreadState& thread, std::uint32_t slot, Cycle until);
+  /// Puts `slot` on the wheel bucket of cycle `at` (now_ < at).
+  void park(ThreadState& thread, std::uint32_t slot, Cycle at);
   /// Idempotent ready-bit updates that keep `ready_count` exact.
   static void set_ready(ThreadState& thread, std::uint32_t slot) {
     std::uint64_t& word = thread.ready[slot >> 6];
@@ -267,8 +254,10 @@ class Core {
   std::vector<HotSlot> hot_arena_;
   std::vector<ColdSlot> cold_arena_;
   std::vector<std::uint64_t> ready_arena_;
+  std::vector<std::uint32_t> wheel_arena_;
   std::uint32_t ring_mask_ = 0;    ///< ring capacity - 1 (power of two)
   std::uint32_t ready_words_ = 0;  ///< 64-bit words per thread in ready_arena_
+  std::uint32_t wheel_mask_ = 0;  ///< wheel buckets - 1 (> longest wait)
   std::uint32_t gct_used_ = 0;
   Cycle now_ = 0;
   /// Per-cycle scratch (sized num_threads once; step() is the hot path).

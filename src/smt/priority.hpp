@@ -162,7 +162,6 @@ class DecodeArbiter {
   void set_priorities(HwPriority a, HwPriority b);
   /// Updates a single context's priority, rebuilding the schedule.
   void set_priority(std::size_t slot, HwPriority priority);
-  void set_work_conserving(bool enabled) { work_conserving_ = enabled; }
 
   [[nodiscard]] std::size_t num_contexts() const { return priorities_.size(); }
   [[nodiscard]] HwPriority priority(std::size_t slot) const;

@@ -54,6 +54,9 @@ INSTANTIATE_TEST_SUITE_P(
     Fields, KernelParamsBadField,
     ::testing::Values(
         BadField{"neg_dep_dist", [](KernelParams& k) { k.mean_dep_dist = -1; }},
+        BadField{"dep_dist_below_one",
+                 [](KernelParams& k) { k.mean_dep_dist = 0.5; }},
+        BadField{"dep_dist_huge", [](KernelParams& k) { k.mean_dep_dist = 2e9; }},
         BadField{"dep_fraction_hi", [](KernelParams& k) { k.dep_fraction = 1.5; }},
         BadField{"dep_fraction_lo", [](KernelParams& k) { k.dep_fraction = -0.1; }},
         BadField{"zero_ws", [](KernelParams& k) { k.working_set_bytes = 0; }},

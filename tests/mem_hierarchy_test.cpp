@@ -39,6 +39,21 @@ TEST(HierarchyConfig, RejectsZeroCores) {
   EXPECT_THROW(cfg.validate(), InvalidArgument);
 }
 
+TEST(HierarchyConfig, CapsTheWorstCaseMissLatency) {
+  HierarchyConfig cfg;
+  cfg.memory_latency = static_cast<std::uint32_t>(
+      HierarchyConfig::kMaxMissLatency -
+      (cfg.l1d.hit_latency + cfg.l2.hit_latency + cfg.l3.hit_latency));
+  EXPECT_EQ(cfg.miss_latency(), HierarchyConfig::kMaxMissLatency);
+  EXPECT_NO_THROW(cfg.validate());
+  ++cfg.memory_latency;
+  EXPECT_THROW(cfg.validate(), InvalidArgument);
+  // A sum that would wrap a uint32 is rejected, not wrapped.
+  cfg.memory_latency = 0xFFFFFFFFu;
+  EXPECT_THROW(cfg.validate(), InvalidArgument);
+  EXPECT_THROW(Hierarchy{cfg}, InvalidArgument);
+}
+
 TEST(Hierarchy, ColdAccessGoesToMemory) {
   Hierarchy h(tiny_hierarchy());
   const AccessResult r = h.access(0, 0x10000, false);

@@ -13,7 +13,7 @@ Typical flows (see EXPERIMENTS.md "Perf gate"):
       --benchmark_repetitions=5 --benchmark_report_aggregates_only=true \
       > /tmp/bench_raw.json
   tools/check_bench_regression.py /tmp/bench_raw.json \
-      --baseline BENCH_perf.json --tolerance 0.10 --calibrate BM_StreamGen \
+      --baseline BENCH_perf.json --tolerance 0.10 --calibrate BM_CacheAccess \
       --emit BENCH_perf.fresh.json
 
   # refresh the committed baseline after an intentional perf change:
@@ -25,8 +25,11 @@ bench is compared via its throughput *ratio* to the named calibration
 bench, which cancels machine speed to first order — raw items/sec on a
 shared CI runner can legitimately drift far more than any useful
 tolerance, while the ratio between two benches in the same process is
-far more stable. The baseline stores raw items/sec either way, so the
-committed file doubles as the absolute perf trajectory.
+far more stable. Calibrate on a bench the change under test does not
+touch (CI uses BM_CacheAccess): a calibration bench that got faster
+makes every untouched row read as a regression. The baseline stores
+raw items/sec either way, so the committed file doubles as the
+absolute perf trajectory.
 """
 
 import argparse
