@@ -15,6 +15,17 @@ void fail(std::string_view source, std::size_t line,
   throw InvalidArgument(os.str());
 }
 
+namespace {
+
+int hex_digit(char c) {
+  if (c >= '0' && c <= '9') return c - '0';
+  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
+  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
+  return -1;
+}
+
+}  // namespace
+
 Record parse_flat_object(const std::string& text, std::string_view source,
                          std::size_t line) {
   Record record;
@@ -43,6 +54,24 @@ Record parse_flat_object(const std::string& text, std::string_view source,
           case '/': c = '/'; break;
           case 'n': c = '\n'; break;
           case 't': c = '\t'; break;
+          case 'r': c = '\r'; break;
+          case 'u': {
+            // Only the control bytes json_escape writes as \u00XX.
+            unsigned code = 0;
+            for (int k = 0; k < 4; ++k) {
+              const int digit = i < text.size() ? hex_digit(text[i]) : -1;
+              if (digit < 0) fail(source, line, "malformed escape '\\u'");
+              code = code * 16 + static_cast<unsigned>(digit);
+              ++i;
+            }
+            if (code >= 0x20) {
+              fail(source, line,
+                   "unsupported escape '\\u" + text.substr(i - 4, 4) +
+                       "' (only control bytes below 0x20)");
+            }
+            c = static_cast<char>(code);
+            break;
+          }
           default:
             fail(source, line,
                  std::string("unsupported escape '\\") + esc + "'");
@@ -164,7 +193,16 @@ std::string json_escape(std::string_view text) {
       case '\\': out += "\\\\"; break;
       case '\n': out += "\\n"; break;
       case '\t': out += "\\t"; break;
-      default: out.push_back(c);
+      case '\r': out += "\\r"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buffer[8];
+          std::snprintf(buffer, sizeof buffer, "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          out += buffer;
+        } else {
+          out.push_back(c);
+        }
     }
   }
   return out;

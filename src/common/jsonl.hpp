@@ -7,7 +7,8 @@
 // strict: every malformed line fails with an InvalidArgument naming the
 // source and the 1-based line number ("trace.jsonl:7: ..."), so corrupted
 // feeds are rejected at the offending line instead of being silently
-// skipped. Escapes \" \\ \/ \n \t are honoured in strings.
+// skipped. Escapes \" \\ \/ \n \t \r and \u00XX below 0x20 are honoured
+// in strings: exactly what json_escape writes, plus \/.
 #pragma once
 
 #include <cstddef>
@@ -66,9 +67,10 @@ using Record = std::map<std::string, Field>;
 /// JSON number that round-trips a double exactly (17 significant digits).
 [[nodiscard]] std::string json_num(double value);
 
-/// Escapes `"` `\` and the control characters the tokenizer understands
-/// (`\n`, `\t`) so any canonical text — including multi-line trace bodies
-/// stored in the result-store journal — survives a JSONL round trip.
+/// Escapes `"`, `\` and every byte below 0x20 (`\n`, `\t` and `\r` by
+/// name, the rest as `\u00XX`), so any text — labels, error messages,
+/// multi-line trace bodies stored in the result-store journal — survives
+/// a JSONL round trip through parse_flat_object.
 [[nodiscard]] std::string json_escape(std::string_view text);
 
 }  // namespace smtbal::jsonl

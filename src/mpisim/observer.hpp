@@ -75,13 +75,6 @@ class ObserverBus {
  public:
   void attach(SimObserver* observer) { observers_.push_back(observer); }
 
-  /// True when no observer is attached. The simulation core checks this
-  /// once per run and skips notification dispatch (and the Event
-  /// materialisation feeding it) entirely on its hot path — an unobserved
-  /// run (the fuzz oracle differential, headless batch reruns) pays
-  /// nothing for the seam.
-  [[nodiscard]] bool empty() const { return observers_.empty(); }
-
   void notify_bind(const AuditSource* audit) {
     for (SimObserver* o : observers_) o->on_bind(audit);
   }

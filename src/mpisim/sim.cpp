@@ -90,7 +90,7 @@ void Sim::notify_priority_change(RankId rank, int from, int to) {
   // Pre-run changes (a policy's on_start) predate the event loop: no meta
   // event exists to count, only the observer callback at t = 0.
   if (running_) emit_meta(EventKind::kPriorityChange, rank.value());
-  if (observed_) bus_.notify_priority_change(rank, from, to, now_);
+  bus_.notify_priority_change(rank, from, to, now_);
 }
 
 void Sim::notify_placement_change(RankId rank, CpuId from, CpuId to) {
@@ -117,7 +117,7 @@ void Sim::notify_placement_change(RankId rank, CpuId from, CpuId to) {
     invalidate_prediction(r);
     fresh_compute_.push_back(r);
   }
-  if (observed_) bus_.notify_placement_change(rank, from, to, now_);
+  bus_.notify_placement_change(rank, from, to, now_);
 }
 
 void Sim::notify_rank_migration(RankId rank, std::uint32_t from_node,
@@ -163,7 +163,7 @@ void Sim::notify_rank_migration(RankId rank, std::uint32_t from_node,
       set_trace(r, trace::RankState::kPreempted);
     }
   }
-  if (observed_) bus_.notify_rank_migration(rank, from_node, to_node, now_);
+  bus_.notify_rank_migration(rank, from_node, to_node, now_);
 }
 
 void Sim::invariant_audit(InvariantAudit& out) const {
@@ -200,8 +200,7 @@ void Sim::invariant_audit(InvariantAudit& out) const {
 void Sim::set_trace(std::size_t rank, trace::RankState state) {
   RankRt& rt = ranks_[rank];
   if (rt.shown == state) return;
-  if (observed_ && now_ > rt.state_since &&
-      rt.shown != trace::RankState::kDone) {
+  if (now_ > rt.state_since && rt.shown != trace::RankState::kDone) {
     bus_.notify_interval(RankId{static_cast<std::uint32_t>(rank)},
                          rt.state_since, now_, rt.shown);
   }
@@ -211,7 +210,6 @@ void Sim::set_trace(std::size_t rank, trace::RankState state) {
 
 /// Publishes a synthesized (never-queued) event to the observers.
 void Sim::emit_meta(EventKind kind, std::uint32_t subject) {
-  if (!observed_) return;
   Event event;
   event.time = now_;
   event.kind = kind;
@@ -691,7 +689,7 @@ bool Sim::check_epochs() {
     rt.acc_issued = 0.0;
   }
   emit_meta(EventKind::kEpochEnd, static_cast<std::uint32_t>(report.epoch));
-  if (observed_) bus_.notify_epoch(report);
+  bus_.notify_epoch(report);
   return true;
 }
 
@@ -707,10 +705,7 @@ void Sim::deadlock() const {
 
 RunStats Sim::run() {
   running_ = true;
-  // Latched once: attach order is fixed before run() (Engine enforces it),
-  // so an unobserved run skips every notification dispatch below.
-  observed_ = !bus_.empty();
-  if (observed_) bus_.notify_bind(this);
+  bus_.notify_bind(this);
   for (std::size_t r = 0; r < ranks_.size(); ++r) {
     if (state_[r] != RunState::kDone) advance_rank(r);
   }
@@ -728,7 +723,7 @@ RunStats Sim::run() {
     if (is_stale(event)) continue;
     now_ = std::max(now_, event.time);
     ++events_;
-    if (observed_) bus_.notify_event(event);
+    bus_.notify_event(event);
     dispatch(event);
     refresh_rates();
     if (epochs_dirty_ && check_epochs()) refresh_rates();
@@ -738,7 +733,7 @@ RunStats Sim::run() {
   for (std::size_t r = 0; r < ranks_.size(); ++r) {
     set_trace(r, trace::RankState::kDone);
   }
-  if (observed_) bus_.notify_finish(now_);
+  bus_.notify_finish(now_);
   return RunStats{now_, events_};
 }
 

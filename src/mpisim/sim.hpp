@@ -247,10 +247,6 @@ class Sim final : public CollectiveClient, public AuditSource {
   std::size_t done_count_ = 0;
   int reported_epochs_ = 0;
   bool epochs_dirty_ = false;
-  /// Whether the bus has any observer, latched once at the top of run();
-  /// when false, every notify dispatch (and the Event materialisation
-  /// feeding it) is skipped — the state-bearing work still runs.
-  bool observed_ = true;
   /// False until run() starts: engines construct the Sim before a
   /// policy's on_start so pre-run priority/placement changes flow through
   /// the same notify paths, but those must not synthesise meta events

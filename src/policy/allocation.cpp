@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <map>
 #include <set>
 
 #include "common/error.hpp"
@@ -10,41 +9,32 @@
 
 namespace smtbal::policy {
 
-void AllocationConfig::validate() const {
-  SMTBAL_REQUIRE(warmup_epochs >= 0,
-                 "AllocationConfig.warmup_epochs must be >= 0");
-  SMTBAL_REQUIRE(interval >= 1, "AllocationConfig.interval must be >= 1");
-  SMTBAL_REQUIRE(smoothing > 0.0 && smoothing <= 1.0,
-                 "AllocationConfig.smoothing must be in (0, 1]");
+AllocationPolicy::AllocationPolicy(AllocationConfig config) : config_(config) {
+  config_.cadence.validate();
 }
 
-AllocationPolicy::AllocationPolicy(AllocationConfig config) : config_(config) {
-  config_.validate();
+void AllocationPolicy::on_start(mpisim::EngineControl& control) {
+  smoothed_load_.assign(control.num_ranks(), 0.0);
 }
 
 void AllocationPolicy::on_epoch(mpisim::EngineControl& control,
                                 const mpisim::EpochReport& report) {
-  if (smoothed_load_.empty()) smoothed_load_.assign(report.ranks.size(), 0.0);
+  SMTBAL_CHECK(report.ranks.size() == smoothed_load_.size());
   for (std::size_t r = 0; r < report.ranks.size(); ++r) {
     const mpisim::RankEpochStats& stats = report.ranks[r];
     if (stats.priority == 0) continue;
-    smoothed_load_[r] = smoothed_load_[r] == 0.0
-                            ? stats.compute
-                            : (1.0 - config_.smoothing) * smoothed_load_[r] +
-                                  config_.smoothing * stats.compute;
+    smoothed_load_[r] =
+        smoothed_load_[r] == 0.0
+            ? stats.compute
+            : config_.cadence.smooth(smoothed_load_[r], stats.compute);
   }
-  if (report.epoch < config_.warmup_epochs) return;
-  if ((report.epoch - config_.warmup_epochs) % config_.interval != 0) return;
-
-  std::map<std::uint32_t, std::vector<std::size_t>> ranks_of_node;
-  for (std::size_t r = 0; r < report.ranks.size(); ++r) {
-    if (report.ranks[r].priority == 0) continue;
-    ranks_of_node[control.node_of(RankId{static_cast<std::uint32_t>(r)})]
-        .push_back(r);
-  }
+  if (!config_.cadence.due(report.epoch)) return;
 
   std::vector<SeatAssignment> desired;
-  for (auto& [node, ranks] : ranks_of_node) {
+  const auto ranks_of_node = live_ranks_by_node(control, report);
+  for (std::uint32_t node = 0; node < ranks_of_node.size(); ++node) {
+    const std::vector<std::size_t>& ranks = ranks_of_node[node];
+    if (ranks.empty()) continue;
     // The node's own shape — seat counts vary across the nodes of a
     // heterogeneous cluster.
     const std::uint32_t tpc = control.threads_per_core_of(node);
@@ -61,13 +51,6 @@ void AllocationPolicy::on_epoch(mpisim::EngineControl& control,
       }
       cores.assign(occupied.begin(), occupied.end());
     }
-    std::vector<std::size_t> order = ranks;
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      if (smoothed_load_[a] != smoothed_load_[b]) {
-        return smoothed_load_[a] > smoothed_load_[b];
-      }
-      return a < b;
-    });
     // LPT: heaviest first onto the least-loaded core with a free seat.
     // Ties break toward the lowest core id, so the packing — and through
     // it the whole run — is deterministic.
@@ -76,7 +59,7 @@ void AllocationPolicy::on_epoch(mpisim::EngineControl& control,
       std::uint32_t used = 0;
     };
     std::vector<Bin> bins(cores.size());
-    for (const std::size_t r : order) {
+    for (const std::size_t r : heaviest_first(ranks, smoothed_load_)) {
       std::size_t best = cores.size();
       for (std::size_t c = 0; c < cores.size(); ++c) {
         if (bins[c].used >= tpc) continue;

@@ -17,22 +17,16 @@
 #include <vector>
 
 #include "mpisim/hooks.hpp"
+#include "policy/cadence.hpp"
 
 namespace smtbal::policy {
 
 struct AllocationConfig {
-  /// Epochs to observe (and smooth loads over) before the first re-pack.
-  int warmup_epochs = 2;
-  /// Re-evaluate the allocation every `interval` epochs after warmup.
-  int interval = 4;
-  /// Exponential smoothing for per-rank compute time (1 = last epoch
-  /// only).
-  double smoothing = 0.5;
+  /// Smoothing of per-rank compute time and the re-pack epochs.
+  Cadence cadence{.warmup_epochs = 2, .interval = 4, .smoothing = 0.5};
   /// When false, only the cores already hosting ranks are re-packed;
   /// when true (default), every core of the chip is a bin.
   bool spread = true;
-
-  void validate() const;
 };
 
 class AllocationPolicy final : public mpisim::BalancePolicy {
@@ -41,6 +35,7 @@ class AllocationPolicy final : public mpisim::BalancePolicy {
 
   [[nodiscard]] std::string_view name() const override { return "allocation"; }
 
+  void on_start(mpisim::EngineControl& control) override;
   void on_epoch(mpisim::EngineControl& control,
                 const mpisim::EpochReport& report) override;
 

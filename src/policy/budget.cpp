@@ -11,12 +11,7 @@ namespace smtbal::policy {
 void BudgetRedistributionConfig::validate() const {
   SMTBAL_REQUIRE(headroom >= 0,
                  "BudgetRedistributionConfig.headroom must be >= 0");
-  SMTBAL_REQUIRE(warmup_epochs >= 0,
-                 "BudgetRedistributionConfig.warmup_epochs must be >= 0");
-  SMTBAL_REQUIRE(interval >= 1,
-                 "BudgetRedistributionConfig.interval must be >= 1");
-  SMTBAL_REQUIRE(smoothing > 0.0 && smoothing <= 1.0,
-                 "BudgetRedistributionConfig.smoothing must be in (0, 1]");
+  cadence.validate();
   SMTBAL_REQUIRE(gap_threshold >= 0.0,
                  "BudgetRedistributionConfig.gap_threshold must be >= 0");
   SMTBAL_REQUIRE(min_priority >= 1 && max_priority <= 6 &&
@@ -39,6 +34,8 @@ void BudgetRedistributionPolicy::on_start(mpisim::EngineControl& control) {
     max_sum = std::max(max_sum, mpisim::node_priority_sum(control, n));
   }
   control.install_budgets(max_sum + config_.headroom);
+  smoothed_wait_.assign(control.num_ranks(), 0.0);
+  last_epoch_time_ = 0.0;
 }
 
 void BudgetRedistributionPolicy::on_epoch(mpisim::EngineControl& control,
@@ -46,24 +43,17 @@ void BudgetRedistributionPolicy::on_epoch(mpisim::EngineControl& control,
   const SimTime epoch_len = report.now - last_epoch_time_;
   last_epoch_time_ = report.now;
   if (epoch_len <= 0.0) return;
-  if (smoothed_wait_.empty()) smoothed_wait_.assign(report.ranks.size(), 0.0);
+  SMTBAL_CHECK(report.ranks.size() == smoothed_wait_.size());
   for (std::size_t r = 0; r < report.ranks.size(); ++r) {
     if (report.ranks[r].priority == 0) continue;
     const double frac =
         std::min(1.0, std::max(0.0, report.ranks[r].wait / epoch_len));
-    smoothed_wait_[r] = (1.0 - config_.smoothing) * smoothed_wait_[r] +
-                        config_.smoothing * frac;
+    smoothed_wait_[r] = config_.cadence.smooth(smoothed_wait_[r], frac);
   }
-  if (report.epoch < config_.warmup_epochs) return;
-  if ((report.epoch - config_.warmup_epochs) % config_.interval != 0) return;
+  if (!config_.cadence.due(report.epoch)) return;
 
   const std::uint32_t num_nodes = control.num_nodes();
-  std::vector<std::vector<std::size_t>> ranks_of_node(num_nodes);
-  for (std::size_t r = 0; r < report.ranks.size(); ++r) {
-    if (report.ranks[r].priority == 0) continue;
-    ranks_of_node[control.node_of(RankId{static_cast<std::uint32_t>(r)})]
-        .push_back(r);
-  }
+  const auto ranks_of_node = live_ranks_by_node(control, report);
   std::vector<double> node_wait(num_nodes, 0.0);
   for (std::uint32_t n = 0; n < num_nodes; ++n) {
     if (ranks_of_node[n].empty()) continue;
@@ -87,7 +77,6 @@ void BudgetRedistributionPolicy::on_epoch(mpisim::EngineControl& control,
         control.node_budget(leader) - 1 >=
             mpisim::node_priority_sum(control, leader)) {
       control.transfer_budget(leader, laggard, 1);
-      ++transfers_;
     }
   }
 

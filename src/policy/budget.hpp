@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "mpisim/hooks.hpp"
+#include "policy/cadence.hpp"
 
 namespace smtbal::policy {
 
@@ -24,12 +25,8 @@ struct BudgetRedistributionConfig {
   /// Budget installed per node above its starting priority sum: the
   /// headroom the redistribution plays with.
   int headroom = 2;
-  /// Epochs to observe before the first adjustment.
-  int warmup_epochs = 2;
-  /// Adjust every `interval` epochs after warmup.
-  int interval = 2;
-  /// Exponential smoothing for wait fractions (1 = last epoch only).
-  double smoothing = 0.5;
+  /// Smoothing of per-rank wait fractions and the adjustment epochs.
+  Cadence cadence{.warmup_epochs = 2, .interval = 2, .smoothing = 0.5};
   /// Minimum smoothed wait-fraction spread before acting, both between
   /// nodes (transfer) and within a node (spend/reclaim).
   double gap_threshold = 0.08;
@@ -53,8 +50,6 @@ class BudgetRedistributionPolicy final : public mpisim::BalancePolicy {
   void on_epoch(mpisim::EngineControl& control,
                 const mpisim::EpochReport& report) override;
 
-  /// Cross-node budget transfers issued so far.
-  [[nodiscard]] std::uint64_t transfers() const { return transfers_; }
   /// Priority rewrites (spends + reclaims) issued so far.
   [[nodiscard]] std::uint64_t adjustments() const { return adjustments_; }
 
@@ -62,7 +57,6 @@ class BudgetRedistributionPolicy final : public mpisim::BalancePolicy {
   BudgetRedistributionConfig config_;
   std::vector<double> smoothed_wait_;  ///< per rank
   SimTime last_epoch_time_ = 0.0;
-  std::uint64_t transfers_ = 0;
   std::uint64_t adjustments_ = 0;
 };
 

@@ -36,7 +36,7 @@ struct DynamicBalancerConfig {
   /// Exponential smoothing for per-rank wait fractions (1 = last epoch
   /// only).
   double smoothing = 0.5;
-  /// Epochs to observe before the first adjustment.
+  /// The first adjustment comes at epoch `warmup_epochs + 1` (1-based).
   int warmup_epochs = 1;
 
   void validate() const;

@@ -3,50 +3,39 @@
 #include <algorithm>
 #include <cstddef>
 #include <map>
+#include <utility>
 
 #include "common/error.hpp"
 #include "policy/seating.hpp"
 
 namespace smtbal::policy {
 
-void IlpPairingConfig::validate() const {
-  SMTBAL_REQUIRE(warmup_epochs >= 0,
-                 "IlpPairingConfig.warmup_epochs must be >= 0");
-  SMTBAL_REQUIRE(interval >= 1, "IlpPairingConfig.interval must be >= 1");
-  SMTBAL_REQUIRE(smoothing > 0.0 && smoothing <= 1.0,
-                 "IlpPairingConfig.smoothing must be in (0, 1]");
+IlpPairingPolicy::IlpPairingPolicy(Cadence cadence) : cadence_(cadence) {
+  cadence_.validate();
 }
 
-IlpPairingPolicy::IlpPairingPolicy(IlpPairingConfig config) : config_(config) {
-  config_.validate();
+void IlpPairingPolicy::on_start(mpisim::EngineControl& control) {
+  smoothed_ipc_.assign(control.num_ranks(), 0.0);
 }
 
 void IlpPairingPolicy::on_epoch(mpisim::EngineControl& control,
                                 const mpisim::EpochReport& report) {
-  if (smoothed_ipc_.empty()) smoothed_ipc_.assign(report.ranks.size(), 0.0);
+  SMTBAL_CHECK(report.ranks.size() == smoothed_ipc_.size());
   for (std::size_t r = 0; r < report.ranks.size(); ++r) {
     const mpisim::RankEpochStats& stats = report.ranks[r];
     if (stats.priority == 0 || stats.ipc <= 0.0) continue;
     smoothed_ipc_[r] = smoothed_ipc_[r] == 0.0
                            ? stats.ipc
-                           : (1.0 - config_.smoothing) * smoothed_ipc_[r] +
-                                 config_.smoothing * stats.ipc;
+                           : cadence_.smooth(smoothed_ipc_[r], stats.ipc);
   }
-  if (report.epoch < config_.warmup_epochs) return;
-  if ((report.epoch - config_.warmup_epochs) % config_.interval != 0) return;
-
-  // Group the live ranks by hosting node; each node re-pairs on its own.
-  // The pairing is shape-agnostic — it permutes the seats the ranks
-  // already occupy — so mixed-width nodes need no special handling.
-  std::map<std::uint32_t, std::vector<std::size_t>> ranks_of_node;
-  for (std::size_t r = 0; r < report.ranks.size(); ++r) {
-    if (report.ranks[r].priority == 0) continue;
-    ranks_of_node[control.node_of(RankId{static_cast<std::uint32_t>(r)})]
-        .push_back(r);
-  }
+  if (!cadence_.due(report.epoch)) return;
 
   std::vector<SeatAssignment> desired;
-  for (auto& [node, ranks] : ranks_of_node) {
+  // Each node re-pairs on its own. The pairing is shape-agnostic — it
+  // permutes the seats the ranks already occupy — so mixed-width nodes
+  // need no special handling.
+  for (const std::vector<std::size_t>& ranks :
+       live_ranks_by_node(control, report)) {
     if (ranks.size() < 2) continue;
     // The node's seat pool is exactly the seats its ranks occupy today,
     // grouped by core and ordered by slot: pairing permutes occupants, it
@@ -56,42 +45,30 @@ void IlpPairingPolicy::on_epoch(mpisim::EngineControl& control,
       const CpuId seat = report.ranks[r].cpu;
       seats_of_core[seat.core.value()].push_back(seat);
     }
-    for (auto& [core, seats] : seats_of_core) {
-      std::sort(seats.begin(), seats.end(),
+    std::vector<std::vector<CpuId>> seats;  // per core, ascending core id
+    for (auto& [core, core_seats] : seats_of_core) {
+      std::sort(core_seats.begin(), core_seats.end(),
                 [](const CpuId& a, const CpuId& b) { return a.slot < b.slot; });
+      seats.push_back(std::move(core_seats));
     }
-    std::vector<std::size_t> order = ranks;
-    std::sort(order.begin(), order.end(),
-              [&](std::size_t a, std::size_t b) {
-                if (smoothed_ipc_[a] != smoothed_ipc_[b]) {
-                  return smoothed_ipc_[a] > smoothed_ipc_[b];
-                }
-                return a < b;
-              });
+    const std::vector<std::size_t> order = heaviest_first(ranks, smoothed_ipc_);
     // Serpentine deal: pass 0 hands the highest-IPC ranks to the cores in
     // ascending order, pass 1 runs descending, ... so each core's total
     // smoothed IPC comes out roughly even (high paired with low).
-    std::vector<std::uint32_t> cores;
-    cores.reserve(seats_of_core.size());
-    for (const auto& [core, seats] : seats_of_core) cores.push_back(core);
     std::size_t next = 0;
-    std::size_t filled = 0;  // seats consumed per core this node
-    std::vector<std::size_t> used(cores.size(), 0);
+    std::vector<std::size_t> used(seats.size(), 0);
     for (std::size_t pass = 0; next < order.size(); ++pass) {
       const bool forward = pass % 2 == 0;
-      for (std::size_t i = 0; i < cores.size() && next < order.size(); ++i) {
-        const std::size_t c = forward ? i : cores.size() - 1 - i;
-        auto& seats = seats_of_core[cores[c]];
-        if (used[c] >= seats.size()) continue;
-        desired.push_back(
-            {RankId{static_cast<std::uint32_t>(order[next])}, seats[used[c]]});
+      for (std::size_t i = 0; i < seats.size() && next < order.size(); ++i) {
+        const std::size_t c = forward ? i : seats.size() - 1 - i;
+        if (used[c] >= seats[c].size()) continue;
+        desired.push_back({RankId{static_cast<std::uint32_t>(order[next])},
+                           seats[c][used[c]]});
         ++used[c];
         ++next;
-        ++filled;
       }
       SMTBAL_CHECK(pass <= order.size());  // every pass with seats left progresses
     }
-    SMTBAL_CHECK(filled == order.size());
   }
   moves_ += apply_seating(control, desired);
 }

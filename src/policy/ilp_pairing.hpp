@@ -17,31 +17,25 @@
 #include <vector>
 
 #include "mpisim/hooks.hpp"
+#include "policy/cadence.hpp"
 
 namespace smtbal::policy {
 
-struct IlpPairingConfig {
-  /// Epochs to observe (and smooth IPC over) before the first re-pairing.
-  int warmup_epochs = 2;
-  /// Re-evaluate the pairing every `interval` epochs after warmup. Each
-  /// re-pairing invalidates the engine's sampler predictions for the
-  /// moved ranks, so frequent re-pairing trades model fidelity for
-  /// reactivity.
-  int interval = 8;
-  /// Exponential smoothing for per-rank IPC (1 = last epoch only).
-  double smoothing = 0.5;
-
-  void validate() const;
-};
+/// Each re-pairing invalidates the engine's sampler predictions for the
+/// moved ranks, so the default interval is long: frequent re-pairing
+/// trades model fidelity for reactivity.
+inline constexpr Cadence kIlpPairingCadence{
+    .warmup_epochs = 2, .interval = 8, .smoothing = 0.5};
 
 class IlpPairingPolicy final : public mpisim::BalancePolicy {
  public:
-  explicit IlpPairingPolicy(IlpPairingConfig config = {});
+  explicit IlpPairingPolicy(Cadence cadence = kIlpPairingCadence);
 
   [[nodiscard]] std::string_view name() const override {
     return "ilp-pairing";
   }
 
+  void on_start(mpisim::EngineControl& control) override;
   void on_epoch(mpisim::EngineControl& control,
                 const mpisim::EpochReport& report) override;
 
@@ -49,7 +43,7 @@ class IlpPairingPolicy final : public mpisim::BalancePolicy {
   [[nodiscard]] std::uint64_t moves() const { return moves_; }
 
  private:
-  IlpPairingConfig config_;
+  Cadence cadence_;
   std::vector<double> smoothed_ipc_;
   std::uint64_t moves_ = 0;
 };

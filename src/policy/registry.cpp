@@ -225,6 +225,17 @@ DynamicBalancerConfig dynamic_config_from(ConfigMap& config,
   return inner;
 }
 
+/// The three keys of a Cadence; absent keys keep the family's default.
+Cadence cadence_from(ConfigMap& config, Cadence c) {
+  c.warmup_epochs = config.get_int("warmup_epochs", c.warmup_epochs);
+  c.interval = config.get_int("interval", c.interval);
+  c.smoothing = config.get_double("smoothing", c.smoothing);
+  return c;
+}
+
+constexpr const char* kCadenceSchema =
+    "warmup_epochs=<n>,interval=<n>,smoothing=<0..1>";
+
 /// The dynamic controller's keys and the ranges its config accepts, each
 /// key prefixed with `p` (two-level and repartition use "inner_").
 std::string dynamic_schema(const std::string& p) {
@@ -286,25 +297,19 @@ Registry make_default_registry() {
       {"ilp-pairing",
        "pairs high-ILP with low-ILP ranks per core via placement swaps, "
        "evening out decode demand",
-       "warmup_epochs=<n>,interval=<n>,smoothing=<0..1>"},
+       kCadenceSchema},
       [](ConfigMap& config, const PolicyContext&) {
-        IlpPairingConfig ilp;
-        ilp.warmup_epochs = config.get_int("warmup_epochs", ilp.warmup_epochs);
-        ilp.interval = config.get_int("interval", ilp.interval);
-        ilp.smoothing = config.get_double("smoothing", ilp.smoothing);
-        return std::make_unique<IlpPairingPolicy>(ilp);
+        return std::make_unique<IlpPairingPolicy>(
+            cadence_from(config, kIlpPairingCadence));
       });
   registry.add(
       {"allocation",
        "LPT re-packing of ranks onto cores from observed compute load "
        "(placement moves, may colonise empty cores)",
-       "warmup_epochs=<n>,interval=<n>,smoothing=<0..1>,spread=<bool>"},
+       std::string(kCadenceSchema) + ",spread=<bool>"},
       [](ConfigMap& config, const PolicyContext&) {
         AllocationConfig alloc;
-        alloc.warmup_epochs =
-            config.get_int("warmup_epochs", alloc.warmup_epochs);
-        alloc.interval = config.get_int("interval", alloc.interval);
-        alloc.smoothing = config.get_double("smoothing", alloc.smoothing);
+        alloc.cadence = cadence_from(config, alloc.cadence);
         alloc.spread = config.get_bool("spread", alloc.spread);
         return std::make_unique<AllocationPolicy>(alloc);
       });
@@ -337,15 +342,12 @@ Registry make_default_registry() {
       {"budget-redistribution",
        "caps each node's priority-level sum and shifts budget toward "
        "lagging nodes, spending headroom on bottleneck ranks",
-       "headroom=<n>,warmup_epochs=<n>,interval=<n>,smoothing=<0..1>,"
-       "gap_threshold=<frac>,max_priority=<1..6>,min_priority=<1..6>"},
+       "headroom=<n>," + std::string(kCadenceSchema) +
+           ",gap_threshold=<frac>,max_priority=<1..6>,min_priority=<1..6>"},
       [](ConfigMap& config, const PolicyContext&) {
         BudgetRedistributionConfig budget;
         budget.headroom = config.get_int("headroom", budget.headroom);
-        budget.warmup_epochs =
-            config.get_int("warmup_epochs", budget.warmup_epochs);
-        budget.interval = config.get_int("interval", budget.interval);
-        budget.smoothing = config.get_double("smoothing", budget.smoothing);
+        budget.cadence = cadence_from(config, budget.cadence);
         budget.gap_threshold =
             config.get_double("gap_threshold", budget.gap_threshold);
         budget.max_priority =

@@ -46,7 +46,7 @@ struct RepartitionConfig {
   int budget = 16;
   /// Epochs between FLI evaluations.
   int interval = 2;
-  /// Epochs to observe before the first evaluation.
+  /// First evaluation at the first multiple of `interval` above this.
   int warmup_epochs = 1;
   /// Exponential smoothing for per-rank compute loads (1 = last epoch
   /// only).

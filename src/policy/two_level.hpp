@@ -42,7 +42,7 @@ struct TwoLevelBalancerConfig {
   /// Exponential smoothing for per-node wait fractions (1 = last epoch
   /// only).
   double smoothing = 0.5;
-  /// Epochs to observe before the outer loop's first adjustment.
+  /// The outer loop first adjusts at epoch `warmup_epochs + 1` (1-based).
   int warmup_epochs = 2;
 
   void validate() const;

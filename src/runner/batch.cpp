@@ -111,7 +111,7 @@ BatchResult BatchRunner::run(const std::vector<RunSpec>& specs) const {
       std::shared_ptr<smt::SampleCache> cache;
       if (options_.cache_provider) {
         cache = options_.cache_provider(node_config.chip, node_config.sampler);
-      } else if (options_.share_sample_cache) {
+      } else {
         cache = std::make_shared<smt::SampleCache>();
         cache->set_capacity(options_.cache_capacity);
       }
@@ -209,7 +209,7 @@ std::vector<smt::SampleResult> BatchRunner::sample(
   std::shared_ptr<smt::SampleCache> cache;
   if (options_.cache_provider) {
     cache = options_.cache_provider(chip, options);
-  } else if (options_.share_sample_cache) {
+  } else {
     cache = std::make_shared<smt::SampleCache>();
     cache->set_capacity(options_.cache_capacity);
   }

@@ -73,10 +73,6 @@ struct BatchOptions {
   /// Worker threads; 0 = std::thread::hardware_concurrency(). Always
   /// clamped to the number of runs.
   unsigned jobs = 0;
-  /// Share measured sampler results between workers of the same sampler
-  /// domain through a mutex-guarded SampleCache. Purely a speed/memory
-  /// optimisation — results are identical either way.
-  bool share_sample_cache = true;
   /// FIFO-eviction capacity applied to every SampleCache the runner
   /// creates (smt::SampleCache::set_capacity); 0 = unbounded, the
   /// historical behaviour. Results are identical either way — eviction

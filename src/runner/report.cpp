@@ -1,49 +1,16 @@
 #include "runner/report.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/jsonl.hpp"
 
 namespace smtbal::runner {
 
-namespace {
-
-/// Round-trip double formatting: %.17g prints the shortest digit string
-/// that recovers the exact bits, so equal doubles always print equally.
-std::string json_num(double value) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
-}
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
+using jsonl::json_escape;
+using jsonl::json_num;
 
 std::string json_histogram(const mpisim::DurationHistogram& histogram) {
   std::string out = "[";

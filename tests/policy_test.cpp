@@ -8,6 +8,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/engine.hpp"
@@ -17,12 +18,14 @@
 #include "mpisim/engine.hpp"
 #include "policy/allocation.hpp"
 #include "policy/budget.hpp"
+#include "policy/cadence.hpp"
 #include "policy/dynamic.hpp"
 #include "policy/ilp_pairing.hpp"
 #include "policy/registry.hpp"
 #include "policy/seating.hpp"
 #include "policy/static_priority.hpp"
 #include "policy/two_level.hpp"
+#include "smt/sampler.hpp"
 #include "workloads/metbench.hpp"
 
 namespace smtbal::policy {
@@ -435,12 +438,12 @@ TEST(PlacementMoves, MoveUpdatesPlacementAndKeepsPriority) {
 
 TEST(PlacementMoves, SwapIsDeterministic) {
   const auto app = workloads::build_metbench(misseated_metbench());
-  IlpPairingConfig config;
-  config.interval = 4;
+  Cadence cadence = kIlpPairingCadence;
+  cadence.interval = 4;
 
-  IlpPairingPolicy first(config);
+  IlpPairingPolicy first(cadence);
   const auto a = run_flat(app, kMisseated, &first);
-  IlpPairingPolicy second(config);
+  IlpPairingPolicy second(cadence);
   const auto b = run_flat(app, kMisseated, &second);
 
   EXPECT_GT(first.moves(), 0u) << "the misseated layout must trigger swaps";
@@ -653,11 +656,135 @@ TEST(NewFamilies, AllocationRepairsMisseatingWherePrioritiesCannot) {
 
   // Re-packing seats does repair it.
   AllocationConfig config;
-  config.interval = 2;
+  config.cadence.interval = 2;
   AllocationPolicy allocation(config);
   const auto under_allocation = run_flat(app, kMisseated, &allocation);
   EXPECT_GT(allocation.moves(), 0u);
   EXPECT_LT(under_allocation.exec_time, none.exec_time * 0.98);
+}
+
+
+// --- epoch cadence and run-to-run reuse -------------------------------------
+
+TEST(PolicyCadence, DueFromWarmupThenEveryInterval) {
+  const Cadence cadence{.warmup_epochs = 2, .interval = 4, .smoothing = 0.5};
+  for (const int epoch : {2, 6, 10}) EXPECT_TRUE(cadence.due(epoch)) << epoch;
+  for (const int epoch : {1, 3, 4, 5, 7}) {
+    EXPECT_FALSE(cadence.due(epoch)) << epoch;
+  }
+  // Epochs are 1-based: without warm-up the first action is at `interval`.
+  const Cadence eager{.warmup_epochs = 0, .interval = 3, .smoothing = 1.0};
+  EXPECT_FALSE(eager.due(1));
+  EXPECT_TRUE(eager.due(3));
+  EXPECT_EQ(cadence.smooth(1.0, 3.0), 2.0);
+  EXPECT_EQ(eager.smooth(1.0, 3.0), 3.0);
+
+  EXPECT_THROW((Cadence{.warmup_epochs = -1}.validate()), InvalidArgument);
+  EXPECT_THROW((Cadence{.interval = 0}.validate()), InvalidArgument);
+  EXPECT_THROW((Cadence{.smoothing = 0.0}.validate()), InvalidArgument);
+  EXPECT_THROW((Cadence{.smoothing = 1.5}.validate()), InvalidArgument);
+  EXPECT_NO_THROW(Cadence{}.validate());
+}
+
+/// Both layouts hold four ranks, so one `static` priority vector fits
+/// either: the misseated MetBench flat layout and a 2-node skewed cluster
+/// with one heavy/light pair per node. Every run gets a fresh engine; the
+/// engines share one sampler, whose measurements are pure functions of
+/// their load, only to keep the cycle model's work down.
+class TwoLayouts {
+ public:
+  TwoLayouts() {
+    cluster::SkewedClusterConfig skew;
+    skew.ranks_per_node = 2;
+    skew.iterations = 6;
+    skewed_ = cluster::make_skewed_cluster(skew);
+    cluster_config_.num_nodes = 2;
+    cluster_config_.node = fast_config();
+  }
+
+  [[nodiscard]] std::size_t num_ranks() const { return flat_app_.size(); }
+
+  mpisim::RunResult run(bool on_cluster, mpisim::BalancePolicy* policy) const {
+    if (!on_cluster) {
+      mpisim::Engine engine(flat_app_, kMisseated, fast_config(), sampler_);
+      engine.set_policy(policy);
+      return engine.run();
+    }
+    cluster::ClusterEngine engine(skewed_.app, skewed_.placement,
+                                  cluster_config_, sampler_);
+    engine.set_policy(policy);
+    return engine.run().flat;
+  }
+
+ private:
+  mpisim::Application flat_app_ =
+      workloads::build_metbench(misseated_metbench());
+  std::shared_ptr<smt::ThroughputSampler> sampler_ =
+      std::make_shared<smt::ThroughputSampler>(fast_config().chip,
+                                               fast_config().sampler);
+  cluster::SkewedCluster skewed_;
+  cluster::ClusterConfig cluster_config_;
+};
+
+void expect_same_run(const mpisim::RunResult& a, const mpisim::RunResult& b,
+                     const std::string& what) {
+  EXPECT_EQ(a.exec_time, b.exec_time) << what;
+  EXPECT_EQ(a.events, b.events) << what;
+  ASSERT_EQ(a.metrics.ranks.size(), b.metrics.ranks.size()) << what;
+  for (std::size_t r = 0; r < a.metrics.ranks.size(); ++r) {
+    EXPECT_EQ(a.metrics.ranks[r].compute, b.metrics.ranks[r].compute)
+        << what << " rank " << r;
+    EXPECT_EQ(a.metrics.ranks[r].wait, b.metrics.ranks[r].wait)
+        << what << " rank " << r;
+    EXPECT_EQ(a.metrics.ranks[r].spin, b.metrics.ranks[r].spin)
+        << what << " rank " << r;
+  }
+}
+
+TEST(PolicyReuse, EveryFamilyStartsEachRunClean) {
+  const TwoLayouts layouts;
+  ASSERT_EQ(layouts.num_ranks(), 4u);
+  const auto context = context_for(layouts.num_ranks());
+  for (const PolicyInfo& info : Registry::instance().list()) {
+    mpisim::RunResult fresh[2];
+    for (const bool on_cluster : {false, true}) {
+      const auto policy = Registry::instance().make(info.name, context);
+      fresh[on_cluster ? 1 : 0] = layouts.run(on_cluster, policy.get());
+    }
+    // One instance, two runs on fresh engines, in either order: the
+    // second run must not see anything the first one left behind.
+    for (const bool cluster_first : {false, true}) {
+      const auto reused = Registry::instance().make(info.name, context);
+      for (const bool on_cluster : {cluster_first, !cluster_first}) {
+        expect_same_run(layouts.run(on_cluster, reused.get()),
+                        fresh[on_cluster ? 1 : 0],
+                        info.name + (on_cluster ? " on the cluster"
+                                                : " on the flat layout") +
+                            (on_cluster == cluster_first ? ", first run"
+                                                         : ", second run"));
+      }
+    }
+  }
+}
+
+TEST(PolicyCadence, SpelledOutDefaultsMatchTheBareName) {
+  const TwoLayouts layouts;
+  const auto context = context_for(layouts.num_ranks());
+  const std::pair<const char*, const char*> specs[] = {
+      {"allocation", "allocation:warmup_epochs=2,interval=4,smoothing=0.5"},
+      {"ilp-pairing", "ilp-pairing:warmup_epochs=2,interval=8,smoothing=0.5"},
+      {"budget-redistribution",
+       "budget-redistribution:warmup_epochs=2,interval=2,smoothing=0.5"},
+  };
+  for (const auto& [bare, spelled] : specs) {
+    for (const bool on_cluster : {false, true}) {
+      const auto a = Registry::instance().make(bare, context);
+      const auto b = Registry::instance().make(spelled, context);
+      expect_same_run(layouts.run(on_cluster, a.get()),
+                      layouts.run(on_cluster, b.get()),
+                      std::string(spelled) + (on_cluster ? " cluster" : " flat"));
+    }
+  }
 }
 
 }  // namespace

@@ -13,27 +13,33 @@ Typical flows (see EXPERIMENTS.md "Perf gate"):
       --benchmark_repetitions=5 --benchmark_report_aggregates_only=true \
       > /tmp/bench_raw.json
   tools/check_bench_regression.py /tmp/bench_raw.json \
-      --baseline BENCH_perf.json --tolerance 0.10 --calibrate BM_CacheAccess \
+      --baseline BENCH_perf.json --tolerance 0.10 \
+      --calibrate BM_CacheAccess,BM_StreamGen,BM_SamplerMemoisedLookup \
       --emit BENCH_perf.fresh.json
 
   # refresh the committed baseline after an intentional perf change:
   tools/check_bench_regression.py /tmp/bench_raw.json --emit BENCH_perf.json
 
 Only benchmarks that report ``items_per_second`` participate (the gate's
-unit is work per second, not wall time). With ``--calibrate NAME`` each
-bench is compared via its throughput *ratio* to the named calibration
-bench, which cancels machine speed to first order — raw items/sec on a
-shared CI runner can legitimately drift far more than any useful
-tolerance, while the ratio between two benches in the same process is
-far more stable. Calibrate on a bench the change under test does not
-touch (CI uses BM_CacheAccess): a calibration bench that got faster
-makes every untouched row read as a regression. The baseline stores
-raw items/sec either way, so the committed file doubles as the
+unit is work per second, not wall time). With ``--calibrate A,B,C``
+every fresh row is divided by the median of the listed rows'
+fresh/baseline throughput ratios before it is compared, which cancels
+machine speed to first order: raw items/sec on a shared CI runner can
+legitimately drift far more than any useful tolerance, while the ratio
+between benches in the same process is far more stable. With one name
+this is the classic ratio-to-a-calibration-bench. The median of several
+keeps one calibration row that moved with code layout alone (a hot loop
+landing on a different alignment) from shifting every other row; CI
+lists three benches that code outside the cycle model rarely touches.
+A calibration row is gated like any other: it fails when it moves
+beyond the tolerance against the median of the list. The baseline
+stores raw items/sec either way, so the committed file doubles as the
 absolute perf trajectory.
 """
 
 import argparse
 import json
+import statistics
 import sys
 
 SCHEMA = "smtbal.bench.perf/1"
@@ -87,9 +93,10 @@ def main():
                         help=f"committed {SCHEMA} baseline to gate against")
     parser.add_argument("--tolerance", type=float, default=0.10,
                         help="allowed fractional regression (default 0.10)")
-    parser.add_argument("--calibrate", metavar="NAME",
-                        help="compare per-bench ratios to this bench "
-                             "(cancels machine speed across runners)")
+    parser.add_argument("--calibrate", metavar="NAME[,NAME...]",
+                        help="scale fresh rows by the median fresh/baseline "
+                             "ratio of these benches (cancels machine speed "
+                             "across runners)")
     parser.add_argument("--emit", metavar="PATH",
                         help=f"write the report as a {SCHEMA} file")
     args = parser.parse_args()
@@ -114,28 +121,24 @@ def main():
 
     baseline = load_baseline(args.baseline)
 
-    def normalise(table):
-        if not args.calibrate:
-            return table
-        if args.calibrate not in table:
-            raise SystemExit(f"calibration bench {args.calibrate!r} missing "
-                             "from one of the reports")
-        scale = table[args.calibrate]
-        return {name: ips / scale for name, ips in table.items()
-                if name != args.calibrate}
-
-    fresh_n = normalise(fresh)
-    baseline_n = normalise(baseline)
+    calibrate = args.calibrate.split(",") if args.calibrate else []
+    missing = [n for n in calibrate if n not in fresh or n not in baseline]
+    if missing:
+        raise SystemExit(f"calibration bench(es) {', '.join(missing)} "
+                         "missing from one of the reports")
+    scale = (statistics.median(fresh[n] / baseline[n] for n in calibrate)
+             if calibrate else 1.0)
 
     regressions = []
-    width = max((len(n) for n in baseline_n), default=0)
-    unit = "ratio vs " + args.calibrate if args.calibrate else "items/sec"
+    width = max((len(n) for n in baseline), default=0)
+    unit = (f"items/sec scaled by {scale:.4g}, the median fresh/baseline "
+            f"ratio of {args.calibrate}" if calibrate else "items/sec")
     print(f"perf gate: tolerance {args.tolerance:.0%}, comparing {unit}")
-    for name in sorted(baseline_n):
-        if name not in fresh_n:
+    for name in sorted(baseline):
+        if name not in fresh:
             regressions.append(f"{name}: missing from fresh report")
             continue
-        was, now = baseline_n[name], fresh_n[name]
+        was, now = baseline[name], fresh[name] / scale
         delta = now / was - 1.0
         flag = ""
         if delta < -args.tolerance:
@@ -143,7 +146,7 @@ def main():
             regressions.append(f"{name}: {delta:+.1%} ({was:.4g} -> {now:.4g})")
         print(f"  {name:<{width}}  {was:>12.4g} -> {now:>12.4g}  "
               f"{delta:+7.1%}{flag}")
-    for name in sorted(set(fresh_n) - set(baseline_n)):
+    for name in sorted(set(fresh) - set(baseline)):
         print(f"  {name:<{width}}  (new bench, not in baseline)")
 
     if regressions:

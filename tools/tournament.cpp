@@ -41,6 +41,7 @@
 
 #include "cluster/workload.hpp"
 #include "common/error.hpp"
+#include "common/jsonl.hpp"
 #include "policy/registry.hpp"
 #include "runner/batch.hpp"
 #include "runner/report.hpp"
@@ -57,6 +58,9 @@
 using namespace smtbal;
 
 namespace {
+
+using jsonl::json_escape;
+using jsonl::json_num;
 
 struct ScenarioData {
   std::string name;
@@ -245,21 +249,6 @@ void validate_entrant(const std::string& spec) {
   policy::PolicyContext context;
   context.num_ranks = 2;
   (void)policy::Registry::instance().make(spec, context);
-}
-
-std::string json_num(double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof buffer, "%.17g", value);
-  return buffer;
-}
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  for (const char c : text) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
 }
 
 struct Cell {
