@@ -5,45 +5,8 @@
 #include <utility>
 
 #include "common/error.hpp"
-#include "mpisim/sim.hpp"
 
 namespace smtbal::cluster {
-
-namespace {
-
-/// Routes transfer pricing by placement: ranks on one node go through the
-/// intra-node Network, cross-node ranks through the (stateful, contended)
-/// Interconnect.
-class ClusterCostModel final : public mpisim::MessageCostModel {
- public:
-  ClusterCostModel(const mpisim::NetworkConfig& intra, Interconnect& inter,
-                   const std::vector<std::uint32_t>& node_of_rank)
-      : network_(intra), inter_(inter), node_of_rank_(node_of_rank) {}
-
-  SimTime arrival_time(SimTime send_time, RankId src, RankId dst,
-                       std::uint64_t bytes) override {
-    const std::uint32_t src_node = node_of_rank_[src.value()];
-    const std::uint32_t dst_node = node_of_rank_[dst.value()];
-    if (src_node == dst_node) return network_.arrival_time(send_time, bytes);
-    return inter_.transfer(send_time, src_node, dst_node, bytes);
-  }
-
-  SimTime collective_step_cost(std::uint64_t bytes) override {
-    // The binomial tree's slowest step crosses nodes, so a multi-node
-    // collective is paced by the pricier of the two paths; with one node
-    // this is exactly the flat engine's cost (M=1 bit-identity).
-    const SimTime intra = network_.arrival_time(0.0, bytes);
-    if (inter_.num_nodes() <= 1) return intra;
-    return std::max(intra, inter_.uncontended_cost(bytes));
-  }
-
- private:
-  mpisim::Network network_;
-  Interconnect& inter_;
-  const std::vector<std::uint32_t>& node_of_rank_;
-};
-
-}  // namespace
 
 bool ClusterConfig::homogeneous() const {
   return std::all_of(node_shapes.begin(), node_shapes.end(),
@@ -140,9 +103,23 @@ ClusterEngine::ClusterEngine(mpisim::Application app,
       interconnect_(config_.interconnect, config_.num_nodes),
       migration_of_node_(config_.num_nodes) {}
 
-std::unique_ptr<mpisim::MessageCostModel> ClusterEngine::make_cost_model() {
-  return std::make_unique<ClusterCostModel>(config_.node.network, interconnect_,
-                                            node_of_rank());
+SimTime ClusterEngine::arrival_time(SimTime send_time, RankId src, RankId dst,
+                                   std::uint64_t bytes) {
+  const std::uint32_t src_node = node_of_rank()[src.value()];
+  const std::uint32_t dst_node = node_of_rank()[dst.value()];
+  if (src_node == dst_node) {
+    return mpisim::Engine::arrival_time(send_time, src, dst, bytes);
+  }
+  return interconnect_.transfer(send_time, src_node, dst_node, bytes);
+}
+
+SimTime ClusterEngine::collective_step_cost(std::uint64_t bytes) {
+  // The binomial tree's slowest step crosses nodes, so a multi-node
+  // collective is paced by the pricier of the two paths; with one node
+  // this is exactly the flat engine's cost (M=1 bit-identity).
+  const SimTime intra = mpisim::Engine::collective_step_cost(bytes);
+  if (interconnect_.num_nodes() <= 1) return intra;
+  return std::max(intra, interconnect_.uncontended_cost(bytes));
 }
 
 SimTime ClusterEngine::migration_landing(SimTime now, std::uint32_t from_node,

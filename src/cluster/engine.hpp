@@ -4,8 +4,9 @@
 // which owns the nodes, the event loop and every EngineControl actuation;
 // this class adds only what is specific to clusters: per-node chips derived
 // from ClusterConfig::NodeShape and their samplers, interconnect pricing
-// of messages and migrations (with per-node migration counters), the
-// comm-graph observer, and the NodeStats aggregation.
+// of messages and migrations by overriding the engine's pricing virtuals
+// (with per-node migration counters), the comm-graph observer, and the
+// NodeStats aggregation.
 //
 // Every node starts from the same base configuration (ClusterConfig.node)
 // — the paper's cluster-of-identical-OpenPower-710s scenario — and nodes
@@ -17,9 +18,9 @@
 // per distinct shape) attached to the base sampler's shared cache, which
 // is collision-safe because ChipLoad keys fold in the chip shape
 // (smt::chip_shape_seed). A cluster of M=1 reproduces the flat engine
-// bit-for-bit: the overlay's cost model, observer and policy context
-// change nothing at one node (tests/cluster_test.cpp and the simcheck
-// flat-vs-cluster differential lock this in).
+// bit-for-bit: the overlay's pricing overrides and observer change nothing
+// at one node (tests/cluster_test.cpp and the simcheck flat-vs-cluster
+// differential lock this in).
 #pragma once
 
 #include <memory>
@@ -130,8 +131,8 @@ class ClusterEngine final : public mpisim::Engine {
   /// Runs the application to completion (mpisim::Engine::run) and adds the
   /// per-node aggregates. May be called once per engine. The installed
   /// policy sees global rank ids and the within-node placement; per-node
-  /// policies (policy::TwoLevelBalancer, policy::RepartitionPolicy) slice
-  /// it by node through policy::NodeInners.
+  /// policies (policy::TwoLevelBalancer, policy::RepartitionPolicy) scope
+  /// one inner controller to each node's ranks through policy::NodeInners.
   ClusterRunResult run();
 
   /// Summed counters of the samplers this engine built for node shapes
@@ -163,7 +164,9 @@ class ClusterEngine final : public mpisim::Engine {
                             std::shared_ptr<smt::ThroughputSampler> sampler);
   /// Intra-node transfers through the node network, cross-node ones
   /// through the contended interconnect.
-  std::unique_ptr<mpisim::MessageCostModel> make_cost_model() override;
+  SimTime arrival_time(SimTime send_time, RankId src, RankId dst,
+                       std::uint64_t bytes) override;
+  SimTime collective_step_cost(std::uint64_t bytes) override;
   mpisim::SimObserver* overlay_observer() override { return &comm_observer_; }
   /// The resident state rides the stateful interconnect as one transfer on
   /// the (from, to) path, so migrations queue behind — and delay —

@@ -66,6 +66,7 @@ Engine::Engine(Application app, const Placement& within,
       placement_(within),
       node_of_rank_(std::move(node_of_rank)),
       config_(std::move(config)),
+      network_(config_.network),
       nodes_(std::move(nodes)) {
   config_.validate();
   for (const smt::ThroughputSampler* sampler : nodes_.sampler_of_node) {
@@ -128,7 +129,8 @@ void Engine::check_seat(std::uint32_t node, CpuId to, const char* who) const {
   }
 }
 
-int Engine::priority_sum(std::uint32_t node) const {
+int Engine::node_priority_sum(std::uint32_t node) const {
+  check_node(node, "node_priority_sum");
   const os::KernelModel& kernel = kernels_[node];
   const smt::ChipConfig& chip = nodes_.chips[node];
   int sum = 0;
@@ -168,7 +170,7 @@ void Engine::set_rank_priority(RankId rank, int priority) {
   if (kernel.process_on(cpu) != std::optional<Pid>(pid)) return;
   const int before = smt::level(kernel.effective_priority(cpu));
   if (!budgets_.empty()) {
-    const int sum = priority_sum(node);
+    const int sum = node_priority_sum(node);
     if (sum - before + priority > budgets_[node]) {
       throw InvalidArgument(
           "set_rank_priority: raising rank " + std::to_string(rank.value()) +
@@ -198,8 +200,15 @@ void Engine::set_rank_priority(RankId rank, int priority) {
 
 int Engine::rank_priority(RankId rank) const {
   check_rank(rank, "rank_priority");
-  return smt::level(kernels_[node_of_rank_[rank.value()]].effective_priority(
-      placement_.cpu_of_rank[rank.value()]));
+  const std::size_t r = rank.value();
+  const os::KernelModel& kernel = kernels_[node_of_rank_[r]];
+  const CpuId cpu = placement_.cpu_of_rank[r];
+  // An exited rank reads OFF even after another rank moved onto its seat.
+  if (!pid_of_rank_.empty() &&
+      kernel.process_on(cpu) != std::optional<Pid>(pid_of_rank_[r])) {
+    return 0;
+  }
+  return smt::level(kernel.effective_priority(cpu));
 }
 
 void Engine::move_rank(RankId rank, CpuId to) {
@@ -275,13 +284,13 @@ void Engine::migrate_rank(RankId rank, std::uint32_t node, CpuId to) {
         std::to_string(to.slot.value()) + ") already hosts a process");
   }
   const int level = smt::level(from_kernel.effective_priority(from));
-  if (!budgets_.empty() && priority_sum(node) + level > budgets_[node]) {
+  if (!budgets_.empty() && node_priority_sum(node) + level > budgets_[node]) {
     throw InvalidArgument(
         "migrate_rank: moving rank " + std::to_string(rank.value()) +
         " (priority " + std::to_string(level) + ") onto node " +
         std::to_string(node) + " would push its priority sum to " +
-        std::to_string(priority_sum(node) + level) + ", over its budget of " +
-        std::to_string(budgets_[node]));
+        std::to_string(node_priority_sum(node) + level) +
+        ", over its budget of " + std::to_string(budgets_[node]));
   }
   // State handoff between the node kernels: the source tears the process
   // down, the target spawns it on the new seat, and the priority level
@@ -307,7 +316,7 @@ void Engine::migrate_rank(RankId rank, std::uint32_t node, CpuId to) {
 
 void Engine::install_budgets(int per_node_budget) {
   for (std::uint32_t n = 0; n < num_nodes(); ++n) {
-    const int sum = priority_sum(n);
+    const int sum = node_priority_sum(n);
     if (per_node_budget < sum) {
       throw InvalidArgument(
           "install_budgets: node " + std::to_string(n) +
@@ -325,7 +334,7 @@ void Engine::transfer_budget(std::uint32_t from, std::uint32_t to,
   check_node(std::max(from, to), "transfer_budget");
   SMTBAL_REQUIRE(amount >= 0, "transfer_budget: amount must be >= 0");
   if (from == to || amount == 0) return;
-  const int floor = priority_sum(from);
+  const int floor = node_priority_sum(from);
   if (budgets_[from] - amount < floor) {
     throw InvalidArgument(
         "transfer_budget: node " + std::to_string(from) + "'s budget of " +
@@ -342,8 +351,13 @@ int Engine::node_budget(std::uint32_t node) const {
   return budgets_.empty() ? kUnlimitedBudget : budgets_[node];
 }
 
-std::unique_ptr<MessageCostModel> Engine::make_cost_model() {
-  return std::make_unique<NetworkCostModel>(config_.network);
+SimTime Engine::arrival_time(SimTime send_time, RankId /*src*/,
+                             RankId /*dst*/, std::uint64_t bytes) {
+  return network_.arrival_time(send_time, bytes);
+}
+
+SimTime Engine::collective_step_cost(std::uint64_t bytes) {
+  return network_.arrival_time(0.0, bytes);
 }
 
 SimTime Engine::migration_landing(SimTime now, std::uint32_t /*from_node*/,
@@ -391,9 +405,8 @@ RunResult Engine::run() {
     nodes.push_back(detail::NodeCtx{&nodes_.chips[n],
                                     nodes_.sampler_of_node[n], &kernels_[n]});
   }
-  const std::unique_ptr<MessageCostModel> cost = make_cost_model();
   detail::Sim sim(app_, placement_, node_of_rank_, config_, std::move(nodes),
-                  *cost, pid_of_rank_, bus);
+                  *this, pid_of_rank_, bus);
   sim_ = &sim;
 
   bus.notify_start(app_.size());

@@ -23,8 +23,8 @@
 // defined once here, indexed by the rank's node. The public constructors
 // build one node — the paper's OpenPower 710. cluster::ClusterEngine is a
 // thin overlay that supplies the per-node shapes through the protected
-// constructor and overrides three hooks: message pricing, one extra bus
-// observer, and the cost of a cross-node migration.
+// constructor and overrides its virtual hooks: message and collective
+// pricing, one extra bus observer, and the cost of a cross-node migration.
 #pragma once
 
 #include <memory>
@@ -43,8 +43,6 @@
 #include "trace/tracer.hpp"
 
 namespace smtbal::mpisim {
-
-class MessageCostModel;
 
 namespace detail {
 class Sim;
@@ -130,12 +128,6 @@ class Engine : public EngineControl {
   [[nodiscard]] int rank_priority(RankId rank) const override;
   [[nodiscard]] const Placement& placement() const override { return placement_; }
   [[nodiscard]] std::size_t num_ranks() const override { return app_.size(); }
-  /// Node 0's kernel.
-  [[nodiscard]] os::KernelModel& kernel() override { return kernels_[0]; }
-  /// The base chip's SMT width (EngineConfig.chip).
-  [[nodiscard]] std::uint32_t threads_per_core() const override {
-    return config_.chip.threads_per_core();
-  }
   [[nodiscard]] std::uint32_t num_nodes() const override {
     return static_cast<std::uint32_t>(nodes_.chips.size());
   }
@@ -154,6 +146,12 @@ class Engine : public EngineControl {
   /// rewrite), reseats the rank in the simulation core, and stalls it
   /// until migration_landing() says its resident state has arrived.
   void migrate_rank(RankId rank, std::uint32_t node, CpuId to) override;
+  /// The flat engine tracks no traffic graph.
+  [[nodiscard]] const cluster::CommGraph* comm_graph() const override {
+    return nullptr;
+  }
+  /// Sums the effective levels of `node`'s occupied contexts.
+  [[nodiscard]] int node_priority_sum(std::uint32_t node) const override;
   void install_budgets(int per_node_budget) override;
   void transfer_budget(std::uint32_t from, std::uint32_t to,
                        int amount) override;
@@ -178,9 +176,17 @@ class Engine : public EngineControl {
          std::vector<std::uint32_t> node_of_rank, EngineConfig config,
          Nodes nodes);
 
-  /// Prices the run's transfers; the base sends every one through the
-  /// intra-node network. Called once, by run().
-  [[nodiscard]] virtual std::unique_ptr<MessageCostModel> make_cost_model();
+  /// Arrival time of a message from `src` to `dst` injected at
+  /// `send_time`, called by the simulation core once per send in
+  /// deterministic simulation order (so an override may keep link
+  /// contention state). The base sends every message through the
+  /// intra-node network.
+  virtual SimTime arrival_time(SimTime send_time, RankId src, RankId dst,
+                               std::uint64_t bytes);
+  /// Cost of one point-to-point step of a global collective's binomial
+  /// tree; must be stateless (called per arriving rank). The base prices
+  /// it on the intra-node network.
+  virtual SimTime collective_step_cost(std::uint64_t bytes);
   /// A subclass's own observer, attached after tracing and metrics but
   /// ahead of the policy (so on_epoch sees it up to date); none here.
   [[nodiscard]] virtual SimObserver* overlay_observer() { return nullptr; }
@@ -198,14 +204,15 @@ class Engine : public EngineControl {
   void check_node(std::uint32_t node, const char* who) const;
   /// Throws unless `to` is a seat on `node`'s chip.
   void check_seat(std::uint32_t node, CpuId to, const char* who) const;
-  /// Sum of effective priority levels over `node`'s engaged contexts (the
-  /// quantity an installed budget caps).
-  [[nodiscard]] int priority_sum(std::uint32_t node) const;
+
+  /// The simulation core prices messages through the two virtuals above.
+  friend class detail::Sim;
 
   Application app_;
   Placement placement_;
   std::vector<std::uint32_t> node_of_rank_;
   EngineConfig config_;
+  Network network_;
   Nodes nodes_;
   std::vector<os::KernelModel> kernels_;
   BalancePolicy* policy_ = nullptr;

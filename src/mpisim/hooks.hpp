@@ -29,19 +29,16 @@
 //     priority levels per node and shift headroom between nodes, the
 //     analogue of redistributing a per-node power budget (arXiv
 //     1410.6824).
-// The widened calls are virtual with throwing/neutral defaults so narrow
-// control adapters (e.g. the two-level balancer's per-node view) keep
-// compiling; mpisim::Engine, the one engine, overrides the full surface.
+// mpisim::Engine, the one engine, is the only implementation of the
+// control surface; per-node policies scope their work by rank set
+// (EngineControl::node_of) instead of through a narrower adapter.
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <string_view>
 #include <vector>
 
-#include "common/error.hpp"
 #include "common/types.hpp"
-#include "os/kernel.hpp"
 #include "smt/priority.hpp"
 
 namespace smtbal::cluster {
@@ -84,7 +81,9 @@ struct EpochReport {
 /// per-node priority-weight sum is uncapped.
 inline constexpr int kUnlimitedBudget = -1;
 
-/// The engine-side control surface offered to policies.
+/// The engine-side control surface offered to policies. mpisim::Engine is
+/// its one implementation; every call takes global rank ids and
+/// within-node seats.
 class EngineControl {
  public:
   virtual ~EngineControl() = default;
@@ -96,79 +95,41 @@ class EngineControl {
   /// budget.
   virtual void set_rank_priority(RankId rank, int priority) = 0;
 
-  /// The rank's current effective hardware priority. Throws
-  /// InvalidArgument (naming the rank and the valid range) when the rank
-  /// id is out of range.
+  /// The rank's current effective hardware priority; 0 (OFF) once the
+  /// rank exited, even if another rank has since moved onto its seat.
+  /// Throws InvalidArgument (naming the rank and the valid range) when the
+  /// rank id is out of range.
   [[nodiscard]] virtual int rank_priority(RankId rank) const = 0;
 
   [[nodiscard]] virtual const Placement& placement() const = 0;
   [[nodiscard]] virtual std::size_t num_ranks() const = 0;
-  [[nodiscard]] virtual os::KernelModel& kernel() = 0;
-
-  // --- widened actuation surface (defaults keep narrow adapters valid) ------
-
-  /// SMT contexts per core of the reference chip — node 0's shape on a
-  /// heterogeneous cluster. Seat-aware policies should prefer the
-  /// per-node accessors below.
-  [[nodiscard]] virtual std::uint32_t threads_per_core() const { return 2; }
 
   /// Number of cluster nodes behind this control (1 for the flat engine).
-  [[nodiscard]] virtual std::uint32_t num_nodes() const { return 1; }
+  [[nodiscard]] virtual std::uint32_t num_nodes() const = 0;
 
   /// SMT contexts per core of `node`'s chip. Nodes may differ (mixed-width
-  /// clusters); the default assumes the uniform shape. Throws
-  /// InvalidArgument on an out-of-range node id.
+  /// clusters). Throws InvalidArgument on an out-of-range node id.
   [[nodiscard]] virtual std::uint32_t threads_per_core_of(
-      std::uint32_t node) const {
-    if (node >= num_nodes()) {
-      throw InvalidArgument("threads_per_core_of: node " +
-                            std::to_string(node) + " out of range [0, " +
-                            std::to_string(num_nodes()) + ")");
-    }
-    return threads_per_core();
-  }
+      std::uint32_t node) const = 0;
 
-  /// Number of cores on `node`'s chip. The default derives the uniform
-  /// shape from the kernel's CPU count. Throws InvalidArgument on an
+  /// Number of cores on `node`'s chip. Throws InvalidArgument on an
   /// out-of-range node id.
-  [[nodiscard]] virtual std::uint32_t num_cores_of(std::uint32_t node) {
-    if (node >= num_nodes()) {
-      throw InvalidArgument("num_cores_of: node " + std::to_string(node) +
-                            " out of range [0, " + std::to_string(num_nodes()) +
-                            ")");
-    }
-    return kernel().num_cpus() / threads_per_core();
-  }
+  [[nodiscard]] virtual std::uint32_t num_cores_of(std::uint32_t node) = 0;
 
   /// The node hosting `rank`. Throws InvalidArgument on an out-of-range
   /// rank id.
-  [[nodiscard]] virtual std::uint32_t node_of(RankId rank) const {
-    if (rank.value() >= num_ranks()) {
-      throw InvalidArgument("node_of: rank " + std::to_string(rank.value()) +
-                            " out of range [0, " + std::to_string(num_ranks()) +
-                            ")");
-    }
-    return 0;
-  }
+  [[nodiscard]] virtual std::uint32_t node_of(RankId rank) const = 0;
 
   /// Remaps `rank` to the free seat `to` on its current node (the OS
   /// migrates the pinned process; its priority travels with it). Throws
   /// InvalidArgument on an out-of-range rank or seat, or when the target
   /// seat already hosts a process. A rank that already exited is ignored.
-  virtual void move_rank(RankId rank, CpuId to) {
-    (void)rank, (void)to;
-    throw InvalidArgument("move_rank: this control surface does not support "
-                          "placement moves");
-  }
+  virtual void move_rank(RankId rank, CpuId to) = 0;
 
   /// Exchanges the seats of two ranks on the same node (priorities travel
   /// with the processes). Throws InvalidArgument on out-of-range ranks or
   /// a cross-node pair; a pair with an exited member is ignored.
-  virtual void swap_ranks(RankId a, RankId b) {
-    (void)a, (void)b;
-    throw InvalidArgument("swap_ranks: this control surface does not support "
-                          "placement moves");
-  }
+  virtual void swap_ranks(RankId a, RankId b) = 0;
 
   /// Migrates `rank` to the free seat `to` on `node`, handing its process
   /// over between the node kernels (the priority travels by rewrite) and
@@ -177,56 +138,35 @@ class EngineControl {
   /// move_rank. Throws InvalidArgument on an out-of-range rank, node or
   /// seat, or when the target seat already hosts a process; a rank that
   /// already exited is ignored.
-  virtual void migrate_rank(RankId rank, std::uint32_t node, CpuId to) {
-    (void)rank, (void)node, (void)to;
-    throw InvalidArgument("migrate_rank: this control surface does not "
-                          "support cross-node migration");
-  }
+  virtual void migrate_rank(RankId rank, std::uint32_t node, CpuId to) = 0;
 
   /// The accumulated rank-to-rank message-traffic graph of the run so
-  /// far, or nullptr when the engine does not track one (flat engine,
-  /// narrow adapters). Never owning; valid until the run ends.
-  [[nodiscard]] virtual const cluster::CommGraph* comm_graph() const {
-    return nullptr;
-  }
+  /// far, or nullptr when the engine does not track one (flat engine).
+  /// Never owning; valid until the run ends.
+  [[nodiscard]] virtual const cluster::CommGraph* comm_graph() const = 0;
+
+  /// Sum of the effective priority levels of `node`'s still-running ranks
+  /// — the quantity install_budgets() caps. Throws InvalidArgument on an
+  /// out-of-range node id.
+  [[nodiscard]] virtual int node_priority_sum(std::uint32_t node) const = 0;
 
   /// Caps every node's priority-level sum at `per_node_budget` (the same
   /// cap on each node; transfer_budget shifts headroom afterwards).
   /// Throws InvalidArgument when any node's current sum already exceeds
   /// the cap, naming the node and its sum.
-  virtual void install_budgets(int per_node_budget) {
-    (void)per_node_budget;
-    throw InvalidArgument("install_budgets: this control surface does not "
-                          "support per-node budgets");
-  }
+  virtual void install_budgets(int per_node_budget) = 0;
 
   /// Moves `amount` units of budget from node `from` to node `to`. The
   /// total across nodes is conserved by construction. Throws
   /// InvalidArgument when budgets are not installed, a node id is out of
   /// range, or the donor would drop below its current priority sum.
   virtual void transfer_budget(std::uint32_t from, std::uint32_t to,
-                               int amount) {
-    (void)from, (void)to, (void)amount;
-    throw InvalidArgument("transfer_budget: this control surface does not "
-                          "support per-node budgets");
-  }
+                               int amount) = 0;
 
   /// The node's current budget, or kUnlimitedBudget when none is
   /// installed. Throws InvalidArgument on an out-of-range node id.
-  [[nodiscard]] virtual int node_budget(std::uint32_t node) const {
-    if (node >= num_nodes()) {
-      throw InvalidArgument("node_budget: node " + std::to_string(node) +
-                            " out of range [0, " + std::to_string(num_nodes()) +
-                            ")");
-    }
-    return kUnlimitedBudget;
-  }
+  [[nodiscard]] virtual int node_budget(std::uint32_t node) const = 0;
 };
-
-/// Sum of the effective priority levels of `node`'s still-running ranks —
-/// the quantity install_budgets() caps.
-[[nodiscard]] int node_priority_sum(const EngineControl& control,
-                                    std::uint32_t node);
 
 class BalancePolicy {
  public:

@@ -17,13 +17,12 @@ constexpr SimTime kTimeEps = 1e-12;
 Sim::Sim(const Application& app, const Placement& placement,
          const std::vector<std::uint32_t>& node_of_rank,
          const EngineConfig& config, std::vector<NodeCtx> nodes,
-         MessageCostModel& cost, const std::vector<Pid>& pids,
-         ObserverBus& bus)
+         Engine& engine, const std::vector<Pid>& pids, ObserverBus& bus)
     : app_(app),
       placement_(placement),
       node_of_rank_(node_of_rank),
       config_(config),
-      cost_(cost),
+      engine_(engine),
       pids_(pids),
       bus_(bus),
       nodes_(nodes.size()),
@@ -473,14 +472,14 @@ void Sim::advance_rank(std::size_t rank) {
       // point-to-point steps after the last rank arrives.
       const double n = static_cast<double>(ranks_.size());
       const double steps = 2.0 * std::ceil(std::log2(std::max(n, 2.0)));
-      const SimTime step_cost = cost_.collective_step_cost(reduce->bytes);
+      const SimTime step_cost = engine_.collective_step_cost(reduce->bytes);
       arrive_collective(rank, config_.barrier_latency + steps * step_cost);
       return;
     }
     if (const auto* send = std::get_if<SendPhase>(&phase)) {
       const SimTime arrival =
-          cost_.arrival_time(now_, RankId{static_cast<std::uint32_t>(rank)},
-                             send->peer, send->bytes);
+          engine_.arrival_time(now_, RankId{static_cast<std::uint32_t>(rank)},
+                               send->peer, send->bytes);
       collectives_.post_send(static_cast<std::uint32_t>(rank),
                              send->peer.value(), send->tag, arrival);
       queue_.push(arrival, EventKind::kMsgArrival, send->peer.value(), 0,
@@ -680,8 +679,12 @@ bool Sim::check_epochs() {
         stats.decode_share = node.rates.instr_rate[lin] / core_rate;
       }
     }
-    stats.priority = smt::level(
-        node.ctx.kernel->effective_priority(placement_.cpu_of_rank[r]));
+    // An exited rank reads OFF even once another rank sits on its seat.
+    stats.priority =
+        state_[r] == RunState::kDone
+            ? 0
+            : smt::level(node.ctx.kernel->effective_priority(
+                  placement_.cpu_of_rank[r]));
     stats.cpu = placement_.cpu_of_rank[r];
     report.ranks.push_back(stats);
     rt.acc_compute = 0.0;

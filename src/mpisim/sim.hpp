@@ -9,10 +9,11 @@
 //   * a vector of NodeCtx (per-node chip config / sampler / kernel);
 //     the flat engine passes exactly one;
 //   * a node_of_rank map alongside the within-node Placement;
-//   * a MessageCostModel that prices every point-to-point transfer and
-//     collective tree step — the seam where the cluster layer routes
-//     intra-node traffic through mpisim::Network and inter-node traffic
-//     through cluster::Interconnect (with link contention).
+//   * the owning Engine, whose arrival_time / collective_step_cost
+//     virtuals price every point-to-point transfer and collective tree
+//     step — the seam where cluster::ClusterEngine routes intra-node
+//     traffic through mpisim::Network and inter-node traffic through
+//     cluster::Interconnect (with link contention).
 //
 // With one node the generalisation is arithmetic-free: the same loads are
 // built, the same rates sampled, the same events pushed in the same
@@ -29,49 +30,11 @@
 #include "mpisim/collectives.hpp"
 #include "mpisim/engine.hpp"
 #include "mpisim/event_queue.hpp"
-#include "mpisim/network.hpp"
 #include "mpisim/observer.hpp"
 #include "mpisim/rank_state.hpp"
 #include "os/noise.hpp"
 
 namespace smtbal::mpisim {
-
-/// Prices message transfers for the simulation core. The flat engine uses
-/// NetworkCostModel (every transfer is intra-node); the cluster engine
-/// routes by placement and may mutate link-contention state on
-/// arrival_time calls (invoked exactly once per send, in deterministic
-/// simulation order).
-class MessageCostModel {
- public:
-  virtual ~MessageCostModel() = default;
-
-  /// Arrival time of a message from `src` to `dst` injected at
-  /// `send_time`. May be stateful (link contention).
-  virtual SimTime arrival_time(SimTime send_time, RankId src, RankId dst,
-                               std::uint64_t bytes) = 0;
-
-  /// Cost of one point-to-point step of a global collective's binomial
-  /// tree. Must be stateless (called per arriving rank).
-  virtual SimTime collective_step_cost(std::uint64_t bytes) = 0;
-};
-
-/// The flat engine's cost model: every rank shares one node, so every
-/// transfer goes through the intra-node Network.
-class NetworkCostModel final : public MessageCostModel {
- public:
-  explicit NetworkCostModel(NetworkConfig config) : network_(config) {}
-
-  SimTime arrival_time(SimTime send_time, RankId /*src*/, RankId /*dst*/,
-                       std::uint64_t bytes) override {
-    return network_.arrival_time(send_time, bytes);
-  }
-  SimTime collective_step_cost(std::uint64_t bytes) override {
-    return network_.arrival_time(0.0, bytes);
-  }
-
- private:
-  Network network_;
-};
 
 namespace detail {
 
@@ -107,8 +70,8 @@ class Sim final : public CollectiveClient, public AuditSource {
   /// noise, runaway guards.
   Sim(const Application& app, const Placement& placement,
       const std::vector<std::uint32_t>& node_of_rank,
-      const EngineConfig& config, std::vector<NodeCtx> nodes,
-      MessageCostModel& cost, const std::vector<Pid>& pids, ObserverBus& bus);
+      const EngineConfig& config, std::vector<NodeCtx> nodes, Engine& engine,
+      const std::vector<Pid>& pids, ObserverBus& bus);
 
   RunStats run();
 
@@ -205,7 +168,7 @@ class Sim final : public CollectiveClient, public AuditSource {
   const Placement& placement_;
   const std::vector<std::uint32_t>& node_of_rank_;
   const EngineConfig& config_;
-  MessageCostModel& cost_;
+  Engine& engine_;  ///< prices messages and collective steps
   const std::vector<Pid>& pids_;
   ObserverBus& bus_;
 

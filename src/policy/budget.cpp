@@ -31,7 +31,7 @@ void BudgetRedistributionPolicy::on_start(mpisim::EngineControl& control) {
   // the configured headroom (install_budgets refuses anything lower).
   int max_sum = 0;
   for (std::uint32_t n = 0; n < control.num_nodes(); ++n) {
-    max_sum = std::max(max_sum, mpisim::node_priority_sum(control, n));
+    max_sum = std::max(max_sum, control.node_priority_sum(n));
   }
   control.install_budgets(max_sum + config_.headroom);
   smoothed_wait_.assign(control.num_ranks(), 0.0);
@@ -74,8 +74,7 @@ void BudgetRedistributionPolicy::on_epoch(mpisim::EngineControl& control,
     }
     if (leader != laggard &&
         node_wait[leader] - node_wait[laggard] > config_.gap_threshold &&
-        control.node_budget(leader) - 1 >=
-            mpisim::node_priority_sum(control, leader)) {
+        control.node_budget(leader) - 1 >= control.node_priority_sum(leader)) {
       control.transfer_budget(leader, laggard, 1);
     }
   }
@@ -101,7 +100,7 @@ void BudgetRedistributionPolicy::on_epoch(mpisim::EngineControl& control,
     const int slow_prio = control.rank_priority(slow);
     const int fast_prio = control.rank_priority(fast);
     const int budget = control.node_budget(n);
-    const int sum = mpisim::node_priority_sum(control, n);
+    const int sum = control.node_priority_sum(n);
     if (slow_prio < config_.max_priority && sum + 1 <= budget) {
       control.set_rank_priority(slow, slow_prio + 1);
       ++adjustments_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "common/error.hpp"
 
@@ -37,11 +38,23 @@ void DynamicBalancer::set_max_diff(int max_diff) {
 }
 
 void DynamicBalancer::on_start(mpisim::EngineControl& control) {
+  all_ranks_.resize(control.num_ranks());
+  std::iota(all_ranks_.begin(), all_ranks_.end(), std::size_t{0});
+  start(control, all_ranks_);
+}
+
+void DynamicBalancer::on_epoch(mpisim::EngineControl& control,
+                               const mpisim::EpochReport& report) {
+  step(control, report, all_ranks_);
+}
+
+void DynamicBalancer::start(mpisim::EngineControl& control,
+                            std::span<const std::size_t> ranks) {
   smoothed_wait_.assign(control.num_ranks(), 0.0);
   gap_of_core_.clear();
   wide_state_.clear();
   last_epoch_time_ = 0.0;
-  for (std::size_t r = 0; r < control.num_ranks(); ++r) {
+  for (const std::size_t r : ranks) {
     control.set_rank_priority(RankId{static_cast<std::uint32_t>(r)},
                               smt::level(smt::kDefaultPriority));
   }
@@ -71,15 +84,16 @@ void DynamicBalancer::rewrite(mpisim::EngineControl& control, std::size_t rank,
   ++adjustments_;
 }
 
-void DynamicBalancer::on_epoch(mpisim::EngineControl& control,
-                               const mpisim::EpochReport& report) {
+void DynamicBalancer::step(mpisim::EngineControl& control,
+                           const mpisim::EpochReport& report,
+                           std::span<const std::size_t> ranks) {
   SMTBAL_CHECK(report.ranks.size() == smoothed_wait_.size());
 
   const SimTime window = report.now - last_epoch_time_;
   last_epoch_time_ = report.now;
   if (window <= 0.0) return;
 
-  for (std::size_t r = 0; r < report.ranks.size(); ++r) {
+  for (const std::size_t r : ranks) {
     const double wait_fraction =
         std::clamp(report.ranks[r].wait / window, 0.0, 1.0);
     smoothed_wait_[r] = config_.smoothing * wait_fraction +
@@ -91,18 +105,18 @@ void DynamicBalancer::on_epoch(mpisim::EngineControl& control,
   // wider cores (SMT4/SMT8) the favored-rank controller.
   std::map<std::uint32_t, std::vector<std::size_t>> ranks_by_core;
   const mpisim::Placement& placement = control.placement();
-  for (std::size_t r = 0; r < report.ranks.size(); ++r) {
+  for (const std::size_t r : ranks) {
     ranks_by_core[placement.cpu_of_rank[r].core.value()].push_back(r);
   }
 
-  for (const auto& [core, ranks] : ranks_by_core) {
-    if (ranks.size() > 2) {
-      balance_wide(control, core, ranks);
+  for (const auto& [core, mates] : ranks_by_core) {
+    if (mates.size() > 2) {
+      balance_wide(control, core, mates);
       continue;
     }
-    if (ranks.size() != 2) continue;
-    const std::size_t a = ranks[0];
-    const std::size_t b = ranks[1];
+    if (mates.size() != 2) continue;
+    const std::size_t a = mates[0];
+    const std::size_t b = mates[1];
     // A context reading priority 0 hosts no process any more (the rank
     // exited and the idle loop shut the thread off): nothing to balance.
     if (control.rank_priority(RankId{static_cast<std::uint32_t>(a)}) == 0 ||

@@ -13,9 +13,14 @@
 // convergent: once balanced, the signal vanishes and priorities stop
 // moving. The gap is clamped to `max_diff` — the paper's Case D shows
 // the super-linear penalty of over-prioritising.
+//
+// The controller works on an explicit rank scope: on_start/on_epoch put
+// every rank in scope, and NodeInners runs one instance per node with that
+// node's ranks through start/step on the same engine and report.
 #pragma once
 
 #include <map>
+#include <span>
 #include <vector>
 
 #include "mpisim/hooks.hpp"
@@ -48,9 +53,19 @@ class DynamicBalancer final : public mpisim::BalancePolicy {
 
   [[nodiscard]] std::string_view name() const override { return "dynamic"; }
 
+  /// Every rank in scope.
   void on_start(mpisim::EngineControl& control) override;
   void on_epoch(mpisim::EngineControl& control,
                 const mpisim::EpochReport& report) override;
+
+  /// Starts a run that balances only `ranks` (global ids, ascending):
+  /// resets the controller and sets each of them to the default priority.
+  void start(mpisim::EngineControl& control,
+             std::span<const std::size_t> ranks);
+  /// One epoch over `ranks` (the scope given to start): smooths their wait
+  /// fractions from `report` and steps the gap of every core they share.
+  void step(mpisim::EngineControl& control, const mpisim::EpochReport& report,
+            std::span<const std::size_t> ranks);
 
   /// Number of priority rewrites performed so far.
   [[nodiscard]] std::uint64_t adjustments() const { return adjustments_; }
@@ -80,7 +95,8 @@ class DynamicBalancer final : public mpisim::BalancePolicy {
   };
 
   DynamicBalancerConfig config_;
-  std::vector<double> smoothed_wait_;  ///< wait fraction per rank
+  std::vector<std::size_t> all_ranks_;  ///< the scope of on_start/on_epoch
+  std::vector<double> smoothed_wait_;   ///< wait fraction per global rank
   /// Current signed gap per 2-way core: >0 favours the lower-numbered rank
   /// of the pair, <0 the higher-numbered one.
   std::map<std::uint32_t, int> gap_of_core_;

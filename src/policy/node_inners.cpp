@@ -4,58 +4,6 @@
 
 namespace smtbal::policy {
 
-namespace {
-
-/// One node's view of the engine: local rank ids 0..k-1 map onto the
-/// node's global ranks, placement() is the node's slice of the seats
-/// (written into `seats`) and threads_per_core() the node's SMT width
-/// (nodes may differ on a heterogeneous cluster). Every other call keeps
-/// the EngineControl defaults.
-class NodeView final : public mpisim::EngineControl {
- public:
-  NodeView(mpisim::EngineControl& global,
-           const std::vector<std::size_t>& ranks, std::uint32_t node,
-           mpisim::Placement& seats)
-      : global_(global),
-        ranks_(ranks),
-        placement_(seats),
-        threads_per_core_(global.threads_per_core_of(node)) {
-    seats.cpu_of_rank.clear();
-    for (const std::size_t g : ranks) {
-      seats.cpu_of_rank.push_back(global.placement().cpu_of_rank[g]);
-    }
-  }
-
-  void set_rank_priority(RankId rank, int priority) override {
-    global_.set_rank_priority(global_id(rank), priority);
-  }
-  [[nodiscard]] int rank_priority(RankId rank) const override {
-    return global_.rank_priority(global_id(rank));
-  }
-  [[nodiscard]] const mpisim::Placement& placement() const override {
-    return placement_;
-  }
-  [[nodiscard]] std::size_t num_ranks() const override {
-    return ranks_.size();
-  }
-  [[nodiscard]] os::KernelModel& kernel() override { return global_.kernel(); }
-  [[nodiscard]] std::uint32_t threads_per_core() const override {
-    return threads_per_core_;
-  }
-
- private:
-  [[nodiscard]] RankId global_id(RankId local) const {
-    return RankId{static_cast<std::uint32_t>(ranks_[local.value()])};
-  }
-
-  mpisim::EngineControl& global_;
-  const std::vector<std::size_t>& ranks_;
-  const mpisim::Placement& placement_;
-  std::uint32_t threads_per_core_;
-};
-
-}  // namespace
-
 void NodeInners::start(mpisim::EngineControl& control) {
   membership_.clear();
   inners_.clear();
@@ -85,8 +33,7 @@ void NodeInners::sync(mpisim::EngineControl& control) {
     membership_[n] = std::move(current[n]);
     inners_[n] = std::make_unique<DynamicBalancer>(config_);
     if (membership_[n].empty()) continue;
-    NodeView view(control, membership_[n], n, seats_);
-    inners_[n]->on_start(view);
+    inners_[n]->start(control, membership_[n]);
   }
 }
 
@@ -95,14 +42,7 @@ void NodeInners::drive(mpisim::EngineControl& control,
   sync(control);
   for (std::uint32_t n = 0; n < membership_.size(); ++n) {
     if (membership_[n].empty()) continue;
-    slice_.epoch = report.epoch;
-    slice_.now = report.now;
-    slice_.ranks.clear();
-    for (const std::size_t g : membership_[n]) {
-      slice_.ranks.push_back(report.ranks[g]);
-    }
-    NodeView view(control, membership_[n], n, seats_);
-    inners_[n]->on_epoch(view, slice_);
+    inners_[n]->step(control, report, membership_[n]);
   }
 }
 

@@ -1,8 +1,8 @@
 // The inner level that two-level and repartition share: one
-// DynamicBalancer per node, each driven on a node-local view of the
-// engine (local rank ids, the node's seats and SMT width) with its node's
-// slice of every epoch report. This is the inner loop of Mohammed et
-// al.'s two-level DLB; the two policies differ only in their outer loops.
+// DynamicBalancer per node, each scoped to its node's ranks and driven on
+// the engine itself with the full epoch report. This is the inner loop of
+// Mohammed et al.'s two-level DLB; the two policies differ only in their
+// outer loops.
 //
 // Node membership comes from the engine (EngineControl::node_of), never
 // from a placement the policy captured, so the same driver runs on a flat
@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "mpisim/hooks.hpp"
-#include "mpisim/phase.hpp"
 #include "policy/dynamic.hpp"
 
 namespace smtbal::policy {
@@ -27,10 +26,9 @@ class NodeInners {
   /// Drops every inner and starts one per populated node of `control`.
   void start(mpisim::EngineControl& control);
 
-  /// Runs each populated node's inner on its slice of `report`, first
-  /// restarting the inners whose membership changed since the last call:
-  /// their state is indexed by local rank, so any change invalidates it.
-  /// Between migrations it allocates nothing.
+  /// Steps each populated node's inner on `report`, first restarting the
+  /// inners whose membership changed since the last call: their state
+  /// belongs to the old rank set, so any change invalidates it.
   void drive(mpisim::EngineControl& control, const mpisim::EpochReport& report);
 
   /// Re-bounds node `node`'s gap ceiling (DynamicBalancer::set_max_diff).
@@ -51,8 +49,6 @@ class NodeInners {
   DynamicBalancerConfig config_;
   std::vector<std::vector<std::size_t>> membership_;
   std::vector<std::unique_ptr<DynamicBalancer>> inners_;
-  mpisim::Placement seats_;    ///< scratch: the driven node's seats
-  mpisim::EpochReport slice_;  ///< scratch: the driven node's report
 };
 
 }  // namespace smtbal::policy

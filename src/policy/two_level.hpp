@@ -11,11 +11,11 @@
 // of their core-mates — and narrow it back once the node catches up
 // (bounded by the paper's Case D over-prioritisation lesson).
 //
-// The inner loop is NodeInners: one DynamicBalancer per node, each
-// seeing a node-local view of the cluster (local rank ids, within-node
-// placement) so its per-core wait-gap controller works unchanged. Node
-// membership is read from the engine at start, so the balancer needs no
-// placement of its own and runs unchanged on a flat (one-node) engine.
+// The inner loop is NodeInners: one DynamicBalancer per node, scoped to
+// that node's ranks, running the same per-core wait-gap controller as the
+// standalone `dynamic` policy. Node membership is read from the engine at
+// start, so the balancer needs no placement of its own and runs unchanged
+// on a flat (one-node) engine.
 //
 // With one node, or max_node_boost = 0, the outer loop never acts and
 // this is exactly a per-node DynamicBalancer — the bench's "flat

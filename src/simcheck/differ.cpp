@@ -125,6 +125,30 @@ std::optional<std::string> diff_common(const L& a, const R& b) {
   return diff_metrics(a.metrics, b.metrics);
 }
 
+/// Runs `sc` on the flat engine under `policy` with the invariant checker
+/// on the bus (a violation throws out of run()).
+mpisim::RunResult run_flat_checked(const Scenario& sc,
+                                   mpisim::BalancePolicy* policy) {
+  mpisim::Engine engine(sc.app, sc.placement, sc.config);
+  InvariantObserver invariants;
+  engine.add_observer(&invariants);
+  engine.set_policy(policy);
+  return engine.run();
+}
+
+/// Runs `sc` on the cluster engine under `policy` with the invariant
+/// checker on the bus, also watching per-link interconnect monotonicity.
+cluster::ClusterRunResult run_cluster_checked(const Scenario& sc,
+                                              mpisim::BalancePolicy* policy) {
+  cluster::ClusterEngine clustered(sc.app, sc.cluster_placement,
+                                   sc.cluster_config);
+  InvariantObserver invariants;
+  invariants.watch_interconnect(&clustered.interconnect());
+  clustered.add_observer(&invariants);
+  clustered.set_policy(policy);
+  return clustered.run();
+}
+
 }  // namespace
 
 std::optional<std::string> diff_engine_vs_oracle(
@@ -174,12 +198,7 @@ std::optional<std::string> check_spec(const ScenarioSpec& raw) {
     mpisim::BalancePolicy* const priorities = fixed ? &*fixed : nullptr;
 
     if (spec.num_nodes == 1) {
-      mpisim::Engine engine(sc.app, sc.placement, sc.config);
-      InvariantObserver invariants;
-      engine.add_observer(&invariants);
-      engine.set_policy(priorities);
-      const mpisim::RunResult engine_result = engine.run();
-
+      const mpisim::RunResult engine_result = run_flat_checked(sc, priorities);
       const OracleResult oracle =
           oracle_run(sc.app, sc.placement, sc.config, sc.priorities);
       if (auto d = diff_engine_vs_oracle(engine_result, oracle)) {
@@ -192,23 +211,13 @@ std::optional<std::string> check_spec(const ScenarioSpec& raw) {
 
       // The same scenario through a one-node cluster must retrace the
       // flat run bit-for-bit.
-      cluster::ClusterEngine clustered(sc.app, sc.cluster_placement,
-                                       sc.cluster_config);
-      InvariantObserver cluster_invariants;
-      cluster_invariants.watch_interconnect(&clustered.interconnect());
-      clustered.add_observer(&cluster_invariants);
-      clustered.set_policy(priorities);
-      const cluster::ClusterRunResult cluster_result = clustered.run();
+      const cluster::ClusterRunResult cluster_result =
+          run_cluster_checked(sc, priorities);
       if (auto d = diff_flat_vs_cluster(engine_result, cluster_result)) {
         return "flat-vs-cluster(M=1): " + *d;
       }
     } else {
-      cluster::ClusterEngine clustered(sc.app, sc.cluster_placement,
-                                       sc.cluster_config);
-      InvariantObserver invariants;
-      invariants.watch_interconnect(&clustered.interconnect());
-      clustered.add_observer(&invariants);
-      clustered.set_policy(priorities);
+      mpisim::BalancePolicy* policy = priorities;
       std::optional<smtbal::policy::RepartitionPolicy> repartition;
       if (spec.migrate) {
         // Hair-trigger repartitioning so the invariant checker sees
@@ -224,10 +233,9 @@ std::optional<std::string> check_spec(const ScenarioSpec& raw) {
           config.inner.high_priority = 4;
           config.inner.max_diff = 1;
         }
-        repartition.emplace(config);
-        clustered.set_policy(&*repartition);
+        policy = &repartition.emplace(config);
       }
-      (void)clustered.run();
+      (void)run_cluster_checked(sc, policy);
     }
   } catch (const std::exception& e) {
     return std::string("exception: ") + e.what();
@@ -247,34 +255,17 @@ std::optional<std::string> check_policy_spec(const ScenarioSpec& raw,
       return policy::Registry::instance().make(policy_spec, context);
     };
 
+    const auto cluster_policy = make_policy();
     if (spec.num_nodes == 1) {
-      mpisim::Engine engine(sc.app, sc.placement, sc.config);
-      InvariantObserver invariants;
-      engine.add_observer(&invariants);
       const auto flat_policy = make_policy();
-      engine.set_policy(flat_policy.get());
-      const mpisim::RunResult flat = engine.run();
-
-      cluster::ClusterEngine clustered(sc.app, sc.cluster_placement,
-                                       sc.cluster_config);
-      InvariantObserver cluster_invariants;
-      cluster_invariants.watch_interconnect(&clustered.interconnect());
-      clustered.add_observer(&cluster_invariants);
-      const auto cluster_policy = make_policy();
-      clustered.set_policy(cluster_policy.get());
-      const cluster::ClusterRunResult cluster_result = clustered.run();
+      const mpisim::RunResult flat = run_flat_checked(sc, flat_policy.get());
+      const cluster::ClusterRunResult cluster_result =
+          run_cluster_checked(sc, cluster_policy.get());
       if (auto d = diff_flat_vs_cluster(flat, cluster_result)) {
         return "flat-vs-cluster(M=1) under '" + policy_spec + "': " + *d;
       }
     } else {
-      cluster::ClusterEngine clustered(sc.app, sc.cluster_placement,
-                                       sc.cluster_config);
-      InvariantObserver invariants;
-      invariants.watch_interconnect(&clustered.interconnect());
-      clustered.add_observer(&invariants);
-      const auto cluster_policy = make_policy();
-      clustered.set_policy(cluster_policy.get());
-      (void)clustered.run();
+      (void)run_cluster_checked(sc, cluster_policy.get());
     }
   } catch (const std::exception& e) {
     return "policy '" + policy_spec + "': exception: " + e.what();

@@ -9,9 +9,9 @@
 //     naive straight-line oracle (oracle.hpp), single-node scenarios;
 //   * flat vs cluster(M=1) — mpisim::Engine against a one-node
 //     cluster::ClusterEngine on the identical scenario. Both run the same
-//     engine, so this guards the cluster overlay against its base: the
-//     ClusterCostModel at one node and the comm-graph observer on the bus
-//     must not move a single result, under any registry policy;
+//     engine, so this guards the cluster overlay against its base: its
+//     message-pricing overrides at one node and the comm-graph observer
+//     on the bus must not move a single result, under any registry policy;
 //   * factorised vs full chip — every chip load the oracle sampled,
 //     measured by ThroughputSampler::sample() (core by core wherever the
 //     no-interference certificate holds) against the whole-chip
@@ -20,7 +20,10 @@
 // check_spec() runs every differential applicable to a spec with the
 // invariant checker attached (multi-node specs run under the invariant
 // checker alone, including per-link interconnect monotonicity) and
-// returns the first discrepancy as a printable message. shrink_spec()
+// returns the first discrepancy as a printable message. Every engine that
+// check_spec() and check_policy_spec() run goes through one of two
+// checked-run helpers, flat or cluster; the cluster one also watches the
+// interconnect. shrink_spec()
 // greedily minimises a failing spec one shape dimension at a time.
 #pragma once
 

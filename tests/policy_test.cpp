@@ -25,6 +25,7 @@
 #include "policy/seating.hpp"
 #include "policy/static_priority.hpp"
 #include "policy/two_level.hpp"
+#include "smt/priority.hpp"
 #include "smt/sampler.hpp"
 #include "workloads/metbench.hpp"
 
@@ -520,7 +521,7 @@ TEST(Budgets, FlatEngineEnforcesInstalledCap) {
     EXPECT_EQ(control.node_budget(0), mpisim::kUnlimitedBudget);
     EXPECT_THROW(control.node_budget(5), InvalidArgument);
 
-    const int sum = mpisim::node_priority_sum(control, 0);
+    const int sum = control.node_priority_sum(0);
     EXPECT_THROW(control.install_budgets(sum - 1), InvalidArgument);
     control.install_budgets(sum + 1);
     EXPECT_EQ(control.node_budget(0), sum + 1);
@@ -530,7 +531,7 @@ TEST(Budgets, FlatEngineEnforcesInstalledCap) {
     EXPECT_THROW(control.set_rank_priority(RankId{0}, p0 + 2),
                  InvalidArgument);
     control.set_rank_priority(RankId{0}, p0 + 1);
-    EXPECT_EQ(mpisim::node_priority_sum(control, 0), sum + 1);
+    EXPECT_EQ(control.node_priority_sum(0), sum + 1);
 
     // Flat engine: the only node is 0 and self-transfers are no-ops.
     control.transfer_budget(0, 0, 1);
@@ -539,6 +540,38 @@ TEST(Budgets, FlatEngineEnforcesInstalledCap) {
   });
   (void)run_flat(imbalanced_pair(1), kPair, &probe);
   EXPECT_TRUE(probed);
+}
+
+TEST(Budgets, ExitedRankReadsOffAfterItsSeatIsReused) {
+  // Rank 0 passes both of its (empty) waitall epochs and exits at once;
+  // at epoch 1 rank 2 moves onto its vacated seat. The exited rank must
+  // keep reading OFF, from the control and in later epoch reports, and
+  // the per-node sum must count the two live ranks only, as the budget
+  // cap does.
+  mpisim::Application app;
+  app.ranks.resize(3);
+  app.ranks[0].compute(kid(), 1e7).wait_all().wait_all();
+  for (std::size_t r = 1; r < 3; ++r) {
+    app.ranks[r].compute(kid(), 1e7).wait_all().compute(kid(), 1e8);
+    app.ranks[r].wait_all().compute(kid(), 1e8);
+  }
+  const int medium = smt::level(smt::kDefaultPriority);
+  int epochs = 0;
+  HookProbe probe(
+      [](mpisim::EngineControl&) {},
+      [&](mpisim::EngineControl& control, const mpisim::EpochReport& report) {
+        ++epochs;
+        EXPECT_EQ(report.ranks[0].priority, 0) << "epoch " << report.epoch;
+        if (report.epoch != 1) return;
+        control.move_rank(RankId{2}, CpuId{CoreId{0}, ThreadSlot{0}});
+        EXPECT_EQ(control.rank_priority(RankId{0}), 0);
+        EXPECT_EQ(control.rank_priority(RankId{2}), medium);
+        EXPECT_EQ(control.node_priority_sum(0), 2 * medium);
+        EXPECT_THROW(control.install_budgets(2 * medium - 1), InvalidArgument);
+        control.install_budgets(2 * medium);
+      });
+  (void)run_flat(app, mpisim::Placement::from_linear({0, 1, 2}), &probe);
+  EXPECT_EQ(epochs, 2);
 }
 
 TEST(Budgets, ClusterTransfersConserveTotal) {
@@ -556,8 +589,8 @@ TEST(Budgets, ClusterTransfersConserveTotal) {
         start_probed = true;
         EXPECT_THROW(control.transfer_budget(0, 1, 1), InvalidArgument)
             << "transfers before install_budgets must be rejected";
-        const int sum0 = mpisim::node_priority_sum(control, 0);
-        const int sum1 = mpisim::node_priority_sum(control, 1);
+        const int sum0 = control.node_priority_sum(0);
+        const int sum1 = control.node_priority_sum(1);
         control.install_budgets(std::max(sum0, sum1) + 2);
       },
       [&](mpisim::EngineControl& control, const mpisim::EpochReport&) {
@@ -597,7 +630,7 @@ TEST(Budgets, RedistributionPolicyStaysWithinCaps) {
         for (std::uint32_t node = 0; node < control.num_nodes(); ++node) {
           const int budget = control.node_budget(node);
           ASSERT_NE(budget, mpisim::kUnlimitedBudget);
-          EXPECT_LE(mpisim::node_priority_sum(control, node), budget);
+          EXPECT_LE(control.node_priority_sum(node), budget);
           checked = true;
         }
       });
