@@ -43,12 +43,6 @@ class CommGraph {
 
   [[nodiscard]] std::size_t num_ranks() const { return num_ranks_; }
 
-  /// The directed edge, or a zero edge when the pair never communicated.
-  [[nodiscard]] Edge edge(std::uint32_t src, std::uint32_t dst) const {
-    const auto it = edges_.find({src, dst});
-    return it == edges_.end() ? Edge{} : it->second;
-  }
-
   /// Visits every directed edge in (src, dst) order.
   template <typename Fn>
   void for_each_edge(Fn&& fn) const {

@@ -8,11 +8,6 @@
 
 namespace smtbal::cluster {
 
-bool ClusterConfig::homogeneous() const {
-  return std::all_of(node_shapes.begin(), node_shapes.end(),
-                     [](const NodeShape& s) { return s.is_default(); });
-}
-
 ClusterConfig::NodeShape ClusterConfig::shape_of(std::uint32_t n) const {
   return n < node_shapes.size() ? node_shapes[n] : NodeShape{};
 }

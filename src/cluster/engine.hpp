@@ -74,8 +74,6 @@ struct ClusterConfig {
   InterconnectConfig interconnect{};
   MigrationConfig migration{};
 
-  /// True when every node runs the base chip unchanged.
-  [[nodiscard]] bool homogeneous() const;
   /// Node `n`'s shape override (default-constructed past node_shapes).
   [[nodiscard]] NodeShape shape_of(std::uint32_t n) const;
   /// Node `n`'s derived chip: the base chip with shape_of(n) applied

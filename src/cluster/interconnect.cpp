@@ -8,16 +8,6 @@
 
 namespace smtbal::cluster {
 
-std::string_view to_string(Topology topology) {
-  switch (topology) {
-    case Topology::kFullMesh:
-      return "full-mesh";
-    case Topology::kStar:
-      return "star";
-  }
-  return "?";
-}
-
 void InterconnectConfig::validate() const {
   if (!std::isfinite(link_latency) || link_latency < 0.0) {
     std::ostringstream os;
@@ -76,10 +66,6 @@ SimTime Interconnect::transfer(SimTime send_time, std::uint32_t src_node,
 SimTime Interconnect::uncontended_cost(std::uint64_t bytes) const {
   const int hops = config_.topology == Topology::kFullMesh ? 1 : 2;
   return hops * (serialization(bytes) + config_.link_latency);
-}
-
-void Interconnect::reset() {
-  std::fill(busy_until_.begin(), busy_until_.end(), 0.0);
 }
 
 }  // namespace smtbal::cluster

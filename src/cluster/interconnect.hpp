@@ -24,7 +24,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string_view>
 #include <vector>
 
 #include "common/types.hpp"
@@ -35,8 +34,6 @@ enum class Topology {
   kFullMesh,
   kStar,
 };
-
-[[nodiscard]] std::string_view to_string(Topology topology);
 
 struct InterconnectConfig {
   Topology topology = Topology::kFullMesh;
@@ -65,9 +62,6 @@ class Interconnect {
   /// Cost of an uncontended end-to-end transfer (all hops, no queueing).
   /// Stateless — used to price collective tree steps.
   [[nodiscard]] SimTime uncontended_cost(std::uint64_t bytes) const;
-
-  /// Forgets all link occupancy (fresh run on the same wiring).
-  void reset();
 
   [[nodiscard]] const InterconnectConfig& config() const { return config_; }
   [[nodiscard]] std::uint32_t num_nodes() const { return num_nodes_; }

@@ -93,17 +93,4 @@ ClusterPlacement ClusterPlacement::explicit_map(
   return placement;
 }
 
-void ClusterPlacement::validate(std::uint32_t num_nodes,
-                                std::uint32_t contexts_per_node,
-                                std::uint32_t threads_per_core) const {
-  validate(std::vector<std::uint32_t>(num_nodes, contexts_per_node),
-           std::vector<std::uint32_t>(num_nodes, threads_per_core));
-}
-
-void ClusterPlacement::validate(
-    const std::vector<std::uint32_t>& contexts_of_node,
-    const std::vector<std::uint32_t>& tpc_of_node) const {
-  within.validate(node_of_rank, contexts_of_node, tpc_of_node);
-}
-
 }  // namespace smtbal::cluster

@@ -42,23 +42,10 @@ struct ClusterPlacement {
       std::size_t num_ranks, const std::vector<std::uint32_t>& contexts_of_node,
       const std::vector<std::uint32_t>& tpc_of_node);
 
-  /// Fully explicit map; validate() checks the shape.
+  /// Fully explicit map; within.validate(node_of_rank, ...) checks the
+  /// shape.
   static ClusterPlacement explicit_map(std::vector<std::uint32_t> node_of_rank,
                                        mpisim::Placement within);
-
-  /// Structural checks: the two maps agree in length, every node index is
-  /// in range, every within-node CPU fits the node's chip, and no two
-  /// ranks share a (node, CPU) seat. Throws InvalidArgument.
-  void validate(std::uint32_t num_nodes, std::uint32_t contexts_per_node,
-                std::uint32_t threads_per_core) const;
-
-  /// Heterogeneous form: node n's chip has contexts_of_node[n] contexts
-  /// and tpc_of_node[n] SMT slots per core (the two vectors must agree in
-  /// length — that length is the node count). Each rank's seat is checked
-  /// against its *own* node's shape (mpisim::Placement::validate); the
-  /// uniform overload above delegates here.
-  void validate(const std::vector<std::uint32_t>& contexts_of_node,
-                const std::vector<std::uint32_t>& tpc_of_node) const;
 };
 
 }  // namespace smtbal::cluster

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <istream>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -177,6 +178,45 @@ std::uint64_t require_count(const Record& record, const std::string& key,
     fail(source, line, "field \"" + key + "\" must be a non-negative integer");
   }
   return static_cast<std::uint64_t>(value);
+}
+
+void read_feed(std::istream& in, std::string_view source,
+               const FeedFormat& format, const RecordHandler& on_meta,
+               const RecordHandler& on_body) {
+  bool have_meta = false;
+  std::string line_text;
+  std::size_t line = 0;
+  while (std::getline(in, line_text)) {
+    ++line;
+    if (line_text.find_first_not_of(" \t\r") == std::string::npos) continue;
+    if (line_text.back() == '\r') line_text.pop_back();
+    const Record record = parse_flat_object(line_text, source, line);
+    const std::string schema = require_string(record, "schema", source, line);
+    if (schema != format.schema) {
+      fail(source, line,
+           "unsupported schema '" + schema + "' (expected '" +
+               std::string(format.schema) + "')");
+    }
+    const std::string type = require_string(record, "type", source, line);
+    if (type == "meta") {
+      if (have_meta) fail(source, line, "duplicate meta record");
+      on_meta(record, line);
+      have_meta = true;
+      continue;
+    }
+    if (type != format.body_type) {
+      fail(source, line, "unknown record type '" + type + "'");
+    }
+    if (!have_meta) {
+      fail(source, line,
+           std::string(format.body_type) + " record before the meta record");
+    }
+    on_body(record, line);
+  }
+  if (!have_meta) {
+    throw InvalidArgument(std::string(source) + ": empty " +
+                          std::string(format.name) + " (no meta record)");
+  }
 }
 
 std::string json_num(double value) {

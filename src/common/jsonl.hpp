@@ -1,6 +1,7 @@
 // Strict line-oriented flat-JSON tokenizer shared by every JSONL schema
 // in the repo (smtbal.trace-replay/1, smtbal.evalreq/1, the evaluation
-// service's result-store journal).
+// service's result-store journal), plus the meta-first feed reader the
+// first two share.
 //
 // One record is one flat JSON object per line — string keys,
 // string/number values, no nesting, no arrays. The parser is deliberately
@@ -13,6 +14,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <iosfwd>
 #include <map>
 #include <string>
 #include <string_view>
@@ -63,6 +66,27 @@ using Record = std::map<std::string, Field>;
                                           const std::string& key,
                                           std::string_view source,
                                           std::size_t line);
+
+/// A meta-first feed: every record carries "schema": `schema`; one record
+/// has "type":"meta" and must come first, every other record has
+/// "type": `body_type`.
+struct FeedFormat {
+  std::string_view schema;
+  std::string_view body_type;  ///< e.g. "interval", "eval"
+  std::string_view name;       ///< noun for an empty feed, e.g. "trace"
+};
+
+using RecordHandler = std::function<void(const Record&, std::size_t line)>;
+
+/// Reads a meta-first feed: skips blank lines, strips a trailing CR, and
+/// hands the meta record to `on_meta` and each body record to `on_body`
+/// with its 1-based line number. Throws InvalidArgument on a wrong
+/// schema, an unknown type, a second meta record, a body record before
+/// the meta record ("<source>:<line>: ...") and on a feed without a meta
+/// record ("<source>: empty <name> (no meta record)").
+void read_feed(std::istream& in, std::string_view source,
+               const FeedFormat& format, const RecordHandler& on_meta,
+               const RecordHandler& on_body);
 
 /// JSON number that round-trips a double exactly (17 significant digits).
 [[nodiscard]] std::string json_num(double value);

@@ -12,12 +12,4 @@ double exponential(Rng& rng, double mean) {
   return -mean * std::log(1.0 - rng.uniform());
 }
 
-double normal(Rng& rng, double mean, double stddev) {
-  SMTBAL_REQUIRE(stddev >= 0.0, "normal() requires a non-negative stddev");
-  const double u1 = 1.0 - rng.uniform();
-  const double u2 = rng.uniform();
-  const double mag = std::sqrt(-2.0 * std::log(u1));
-  return mean + stddev * mag * std::cos(2.0 * M_PI * u2);
-}
-
 }  // namespace smtbal

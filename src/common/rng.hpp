@@ -89,7 +89,4 @@ class Rng {
 /// OS-noise injector for interrupt inter-arrival times.
 [[nodiscard]] double exponential(Rng& rng, double mean);
 
-/// Normal sample via Box–Muller (no state kept; fine at simulation rates).
-[[nodiscard]] double normal(Rng& rng, double mean, double stddev);
-
 }  // namespace smtbal

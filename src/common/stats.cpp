@@ -1,10 +1,6 @@
 #include "common/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <sstream>
-
-#include "common/error.hpp"
 
 namespace smtbal {
 
@@ -13,101 +9,8 @@ void RunningStats::add(double x) {
   sum_ += x;
   const double delta = x - mean_;
   mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
   min_ = std::min(min_, x);
   max_ = std::max(max_, x);
-}
-
-void RunningStats::merge(const RunningStats& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const auto n1 = static_cast<double>(count_);
-  const auto n2 = static_cast<double>(other.count_);
-  const double delta = other.mean_ - mean_;
-  const double n = n1 + n2;
-  mean_ += delta * n2 / n;
-  m2_ += other.m2_ + delta * delta * n1 * n2 / n;
-  count_ += other.count_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
-double RunningStats::variance() const {
-  return count_ > 0 ? m2_ / static_cast<double>(count_) : 0.0;
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
-
-std::string RunningStats::describe() const {
-  std::ostringstream os;
-  os << "n=" << count_ << " mean=" << mean() << " stddev=" << stddev()
-     << " min=" << min() << " max=" << max();
-  return os.str();
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  SMTBAL_REQUIRE(hi > lo, "Histogram requires hi > lo");
-  SMTBAL_REQUIRE(bins > 0, "Histogram requires at least one bin");
-}
-
-void Histogram::add(double x) {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  auto idx = static_cast<std::ptrdiff_t>(std::floor((x - lo_) / width));
-  idx = std::clamp<std::ptrdiff_t>(idx, 0,
-                                   static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-double Histogram::bin_lo(std::size_t i) const {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + width * static_cast<double>(i);
-}
-
-double Histogram::bin_hi(std::size_t i) const { return bin_lo(i + 1); }
-
-double Histogram::quantile(double p) const {
-  SMTBAL_REQUIRE(p >= 0.0 && p <= 1.0, "quantile requires p in [0,1]");
-  if (total_ == 0) return lo_;
-  const double target = p * static_cast<double>(total_);
-  double cumulative = 0.0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const double next = cumulative + static_cast<double>(counts_[i]);
-    if (next >= target && counts_[i] > 0) {
-      const double frac = (target - cumulative) / static_cast<double>(counts_[i]);
-      return bin_lo(i) + frac * (bin_hi(i) - bin_lo(i));
-    }
-    cumulative = next;
-  }
-  return hi_;
-}
-
-std::string Histogram::render(std::size_t width) const {
-  std::ostringstream os;
-  const std::uint64_t peak =
-      *std::max_element(counts_.begin(), counts_.end());
-  if (peak == 0) return "(empty histogram)\n";
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    if (counts_[i] == 0) continue;
-    const auto bar = static_cast<std::size_t>(
-        static_cast<double>(counts_[i]) / static_cast<double>(peak) *
-        static_cast<double>(width));
-    os << '[' << bin_lo(i) << ", " << bin_hi(i) << ") "
-       << std::string(std::max<std::size_t>(bar, 1), '#') << ' ' << counts_[i]
-       << '\n';
-  }
-  return os.str();
-}
-
-double rel_diff(double a, double b) {
-  const double denom = std::max(std::abs(a), std::abs(b));
-  if (denom == 0.0) return 0.0;
-  return std::abs(a - b) / denom;
 }
 
 }  // namespace smtbal

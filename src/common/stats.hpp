@@ -1,75 +1,30 @@
-// Streaming statistics helpers used by the tracer, the sampler and the
-// benchmark harnesses: Welford running moments and a fixed-bin histogram.
+// Streaming statistics behind the batch runner's per-batch summaries.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <limits>
-#include <string>
-#include <vector>
 
 namespace smtbal {
 
-/// Numerically stable running mean/variance/min/max (Welford's algorithm).
+/// Running mean/min/max/sum (Welford's update for the mean).
 class RunningStats {
  public:
   void add(double x);
-
-  /// Merges another accumulator into this one (parallel-combination form
-  /// of Welford; exact up to floating point).
-  void merge(const RunningStats& other);
 
   void reset() { *this = RunningStats{}; }
 
   [[nodiscard]] std::size_t count() const { return count_; }
   [[nodiscard]] double mean() const { return count_ ? mean_ : 0.0; }
-  [[nodiscard]] double variance() const;  ///< population variance
-  [[nodiscard]] double stddev() const;
   [[nodiscard]] double min() const { return count_ ? min_ : 0.0; }
   [[nodiscard]] double max() const { return count_ ? max_ : 0.0; }
   [[nodiscard]] double sum() const { return sum_; }
 
-  /// One-line summary: "n=12 mean=1.5 stddev=0.2 min=1.1 max=2".
-  [[nodiscard]] std::string describe() const;
-
  private:
   std::size_t count_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
   double sum_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
 };
-
-/// Equal-width histogram over [lo, hi); out-of-range samples are clamped
-/// into the edge bins so every sample is accounted for.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-
-  [[nodiscard]] std::size_t bins() const { return counts_.size(); }
-  [[nodiscard]] std::uint64_t bin_count(std::size_t i) const { return counts_.at(i); }
-  [[nodiscard]] std::uint64_t total() const { return total_; }
-  [[nodiscard]] double bin_lo(std::size_t i) const;
-  [[nodiscard]] double bin_hi(std::size_t i) const;
-
-  /// p in [0,1]; linear interpolation inside the selected bin.
-  [[nodiscard]] double quantile(double p) const;
-
-  /// Multi-line ASCII rendering (one row per non-empty bin).
-  [[nodiscard]] std::string render(std::size_t width = 50) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
-};
-
-/// Relative difference |a-b| / max(|a|,|b|); 0 when both are 0. Used by
-/// tests comparing measured against analytic rates.
-[[nodiscard]] double rel_diff(double a, double b);
 
 }  // namespace smtbal

@@ -41,11 +41,6 @@ Cache::Cache(CacheConfig config) : config_(std::move(config)) {
   blocks_.resize(sets >> block_shift_);
 }
 
-const Cache::Line* Cache::find_set(std::uint64_t set) const {
-  const Line* block = blocks_[set >> block_shift_].get();
-  return block == nullptr ? nullptr : block + (set & block_mask_) * ways_;
-}
-
 Cache::Line* Cache::fill_set(std::uint64_t set) {
   std::unique_ptr<Line[]>& block = blocks_[set >> block_shift_];
   if (block == nullptr) [[unlikely]] {
@@ -94,8 +89,10 @@ bool Cache::access(std::uint64_t address, bool is_write) {
 bool Cache::probe(std::uint64_t address) const {
   const std::uint64_t line_number = address >> line_shift_;
   const std::uint64_t tag = line_number >> set_shift_;
-  const Line* const begin = find_set(line_number & set_mask_);
-  if (begin == nullptr) return false;
+  const std::uint64_t set = line_number & set_mask_;
+  const Line* const block = blocks_[set >> block_shift_].get();
+  if (block == nullptr) return false;
+  const Line* const begin = block + (set & block_mask_) * ways_;
   return std::any_of(begin, begin + ways_, [&](const Line& line) {
     return line.tag == tag && line.stamp >= valid_floor_;
   });

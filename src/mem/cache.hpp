@@ -38,10 +38,6 @@ struct CacheStats {
   std::uint64_t dirty_evictions = 0;
 
   [[nodiscard]] std::uint64_t accesses() const { return hits + misses; }
-  [[nodiscard]] double miss_rate() const {
-    return accesses() ? static_cast<double>(misses) / static_cast<double>(accesses())
-                      : 0.0;
-  }
 };
 
 class Cache {
@@ -52,8 +48,8 @@ class Cache {
   /// Returns true on hit. `is_write` marks the line dirty.
   bool access(std::uint64_t address, bool is_write);
 
-  /// Lookup without fill or LRU update (used by tests and the hierarchy's
-  /// inclusive-content probes).
+  /// Lookup without fill or LRU update (a test seam: observes residency
+  /// without disturbing it).
   [[nodiscard]] bool probe(std::uint64_t address) const;
 
   /// Invalidates every line (e.g. between sampling windows) in O(1): tag
@@ -80,8 +76,6 @@ class Cache {
     std::uint64_t stamp = 0;
   };
 
-  /// The ways of `set`, or nullptr while its block is uncommitted.
-  [[nodiscard]] const Line* find_set(std::uint64_t set) const;
   /// The ways of `set`, committing its block on first use.
   [[nodiscard]] Line* fill_set(std::uint64_t set);
 

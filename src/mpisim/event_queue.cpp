@@ -35,12 +35,6 @@ std::uint64_t EventQueue::push(SimTime time, EventKind kind,
   return seq;
 }
 
-const Event& EventQueue::top() const {
-  SMTBAL_DCHECK(!heap_.empty());
-  top_scratch_ = materialize(heap_.front());
-  return top_scratch_;
-}
-
 Event EventQueue::pop() {
   SMTBAL_CHECK_MSG(!heap_.empty(), "pop() on an empty event queue");
   const Handle top = heap_.front();

@@ -31,10 +31,6 @@ class EventQueue {
   [[nodiscard]] bool empty() const { return heap_.empty(); }
   [[nodiscard]] std::size_t size() const { return heap_.size(); }
 
-  /// The earliest event. Precondition: !empty() — checked (SMTBAL_DCHECK)
-  /// in debug builds, undefined behaviour in release builds.
-  [[nodiscard]] const Event& top() const;
-
   /// Removes and returns the earliest event. Throws when empty.
   Event pop();
 
@@ -71,7 +67,6 @@ class EventQueue {
   std::vector<Body> arena_;
   std::vector<std::uint32_t> free_;  ///< recycled arena slots (LIFO)
   std::uint64_t next_seq_ = 0;
-  mutable Event top_scratch_{};  ///< backing storage for top()'s reference
 };
 
 }  // namespace smtbal::mpisim

@@ -17,12 +17,6 @@ void DurationHistogram::add(SimTime duration) {
   ++counts[index];
 }
 
-std::uint64_t DurationHistogram::total() const {
-  std::uint64_t sum = 0;
-  for (const std::uint64_t c : counts) sum += c;
-  return sum;
-}
-
 void MetricsObserver::on_interval(RankId rank, SimTime begin, SimTime end,
                                   trace::RankState state) {
   RankMetrics& m = report_.ranks[rank.value()];

@@ -20,7 +20,6 @@ struct DurationHistogram {
   std::array<std::uint64_t, kBuckets> counts{};
 
   void add(SimTime duration);
-  [[nodiscard]] std::uint64_t total() const;
 };
 
 struct RankMetrics {

@@ -6,14 +6,6 @@
 
 namespace smtbal::os {
 
-std::string_view to_string(KernelFlavor flavor) {
-  switch (flavor) {
-    case KernelFlavor::kVanilla: return "vanilla-2.6.19";
-    case KernelFlavor::kPatched: return "patched-2.6.19 (hmt_priority)";
-  }
-  return "?";
-}
-
 KernelModel::KernelModel(KernelFlavor flavor, const smt::ChipConfig& chip)
     : flavor_(flavor),
       chip_(chip),
@@ -117,8 +109,6 @@ void KernelModel::reset_on_kernel_entry(CpuId cpu) {
 }
 
 void KernelModel::on_interrupt(CpuId cpu) { reset_on_kernel_entry(cpu); }
-
-void KernelModel::on_syscall(CpuId cpu) { reset_on_kernel_entry(cpu); }
 
 smt::HwPriority KernelModel::effective_priority(CpuId cpu) const {
   return cpu_priority_[index(cpu)];

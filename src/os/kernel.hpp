@@ -34,16 +34,11 @@ enum class KernelFlavor {
   kPatched,
 };
 
-[[nodiscard]] std::string_view to_string(KernelFlavor flavor);
-
 class KernelModel {
  public:
   KernelModel(KernelFlavor flavor, const smt::ChipConfig& chip);
 
   [[nodiscard]] KernelFlavor flavor() const { return flavor_; }
-  [[nodiscard]] std::uint32_t num_cpus() const {
-    return static_cast<std::uint32_t>(cpu_priority_.size());
-  }
 
   // --- process management --------------------------------------------------
 
@@ -91,10 +86,6 @@ class KernelModel {
   /// context's priority to MEDIUM (it cannot restore the previous value);
   /// the patched kernel preserves it (paper §VI-B change 1).
   void on_interrupt(CpuId cpu);
-
-  /// The process on `cpu` enters the kernel via a syscall. Same reset
-  /// semantics as interrupts.
-  void on_syscall(CpuId cpu);
 
   // --- effective state -------------------------------------------------------
 

@@ -6,15 +6,6 @@
 
 namespace smtbal::os {
 
-std::string_view to_string(NoiseKind kind) {
-  switch (kind) {
-    case NoiseKind::kTimerTick: return "timer-tick";
-    case NoiseKind::kDeviceInterrupt: return "device-irq";
-    case NoiseKind::kDaemon: return "daemon";
-  }
-  return "?";
-}
-
 std::vector<NoiseEvent> generate_noise(const NoiseConfig& config,
                                        SimTime horizon,
                                        std::uint32_t num_cpus,

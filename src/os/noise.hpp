@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string_view>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -25,8 +24,6 @@ enum class NoiseKind : std::uint8_t {
   kDeviceInterrupt = 1,
   kDaemon = 2,
 };
-
-[[nodiscard]] std::string_view to_string(NoiseKind kind);
 
 struct NoiseEvent {
   CpuId cpu;
@@ -90,10 +87,6 @@ class NoiseSource {
 
   /// Consumes and returns the next event. Requires !exhausted().
   NoiseEvent next() { return events_[next_++]; }
-
-  [[nodiscard]] std::size_t remaining() const {
-    return events_.size() - next_;
-  }
 
  private:
   std::vector<NoiseEvent> events_;

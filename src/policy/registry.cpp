@@ -198,10 +198,6 @@ std::unique_ptr<mpisim::BalancePolicy> Registry::make(
   return policy;
 }
 
-bool Registry::contains(std::string_view name) const {
-  return entries_.find(name) != entries_.end();
-}
-
 std::vector<PolicyInfo> Registry::list() const {
   std::vector<PolicyInfo> infos;
   infos.reserve(entries_.size());

@@ -91,7 +91,6 @@ class Registry {
   [[nodiscard]] std::unique_ptr<mpisim::BalancePolicy> make(
       std::string_view spec, const PolicyContext& context) const;
 
-  [[nodiscard]] bool contains(std::string_view name) const;
   /// All registered policies, sorted by name.
   [[nodiscard]] std::vector<PolicyInfo> list() const;
 

@@ -29,7 +29,6 @@ void TwoLevelBalancer::on_start(mpisim::EngineControl& control) {
   node_wait_.assign(control.num_nodes(), 0.0);
   boost_.assign(control.num_nodes(), 0);
   last_epoch_time_ = 0.0;
-  node_adjustments_ = 0;
 }
 
 void TwoLevelBalancer::on_epoch(mpisim::EngineControl& control,
@@ -75,7 +74,6 @@ void TwoLevelBalancer::on_epoch(mpisim::EngineControl& control,
           boost = std::max(boost - 1, 0);
         }
         if (boost != before) {
-          ++node_adjustments_;
           inners_.set_max_diff(n, config_.inner.max_diff + boost);
         }
       }

@@ -62,10 +62,6 @@ class TwoLevelBalancer final : public mpisim::BalancePolicy {
   [[nodiscard]] int node_boost(std::uint32_t node) const {
     return boost_[node];
   }
-  /// Total outer-loop boost adjustments so far.
-  [[nodiscard]] std::uint64_t node_adjustments() const {
-    return node_adjustments_;
-  }
 
  private:
   TwoLevelBalancerConfig config_;
@@ -73,7 +69,6 @@ class TwoLevelBalancer final : public mpisim::BalancePolicy {
   std::vector<double> node_wait_;  ///< smoothed mean wait fraction per node
   std::vector<int> boost_;
   SimTime last_epoch_time_ = 0.0;
-  std::uint64_t node_adjustments_ = 0;
 };
 
 }  // namespace smtbal::policy

@@ -1,10 +1,9 @@
 #include "runner/batch.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <charconv>
-#include <deque>
 #include <limits>
-#include <mutex>
 #include <stdexcept>
 #include <thread>
 
@@ -32,53 +31,19 @@ unsigned resolve_jobs(unsigned requested, std::size_t num_items) {
   return jobs;
 }
 
-void parallel_for_stealing(unsigned jobs, std::size_t num_items,
-                           const std::function<void(std::size_t, unsigned)>& fn) {
-  if (num_items == 0) return;
+void parallel_for(unsigned jobs, std::size_t num_items,
+                  const std::function<void(std::size_t, unsigned)>& fn) {
   if (jobs <= 1) {
     for (std::size_t i = 0; i < num_items; ++i) fn(i, 0);
     return;
   }
-
-  struct WorkerQueue {
-    std::mutex mutex;
-    std::deque<std::size_t> items;
-  };
-  std::vector<WorkerQueue> queues(jobs);
-  for (std::size_t i = 0; i < num_items; ++i) {
-    queues[i % jobs].items.push_back(i);
-  }
-
+  // One shared cursor: each worker claims the next unclaimed item until
+  // none are left. Items are coarse (whole simulations), so one atomic
+  // increment per item is free next to the work it hands out.
+  std::atomic<std::size_t> next{0};
   auto worker = [&](unsigned self) {
-    for (;;) {
-      std::size_t item = 0;
-      bool found = false;
-      {
-        // Own queue: take from the front (the round-robin order).
-        WorkerQueue& own = queues[self];
-        const std::lock_guard<std::mutex> lock(own.mutex);
-        if (!own.items.empty()) {
-          item = own.items.front();
-          own.items.pop_front();
-          found = true;
-        }
-      }
-      // Steal from the back of the first non-empty victim. No work is ever
-      // added after start-up, so a full empty scan means we are done.
-      for (unsigned v = 1; !found && v < jobs; ++v) {
-        WorkerQueue& victim = queues[(self + v) % jobs];
-        const std::lock_guard<std::mutex> lock(victim.mutex);
-        if (!victim.items.empty()) {
-          item = victim.items.back();
-          victim.items.pop_back();
-          found = true;
-        }
-      }
-      if (!found) return;
-      fn(item, self);
-    }
+    for (std::size_t i = next++; i < num_items; i = next++) fn(i, self);
   };
-
   std::vector<std::thread> threads;
   threads.reserve(jobs);
   for (unsigned w = 0; w < jobs; ++w) threads.emplace_back(worker, w);
@@ -134,7 +99,7 @@ BatchResult BatchRunner::run(const std::vector<RunSpec>& specs) const {
   // build and drop inside their engines, per worker.
   std::vector<smt::SamplerStats> shape_stats(jobs);
 
-  parallel_for_stealing(jobs, specs.size(), [&](std::size_t i, unsigned worker) {
+  parallel_for(jobs, specs.size(), [&](std::size_t i, unsigned worker) {
     const RunSpec& spec = specs[i];
     RunOutcome& out = batch.runs[i];
     out.label = spec.label;
@@ -180,16 +145,7 @@ BatchResult BatchRunner::run(const std::vector<RunSpec>& specs) const {
     batch.imbalance.add(out.result->imbalance);
   }
   for (const SamplerDomain& domain : domains) {
-    if (domain.cache == nullptr) continue;
-    const smt::SampleCacheStats stats = domain.cache->stats();
-    batch.cache_stats.hits += stats.hits;
-    batch.cache_stats.misses += stats.misses;
-    batch.cache_stats.inserts += stats.inserts;
-    batch.cache_stats.evictions += stats.evictions;
-    // Peak sizes of independent domains do not sum (they peak at
-    // different moments); report the largest single-domain high-water.
-    batch.cache_stats.peak_size =
-        std::max(batch.cache_stats.peak_size, stats.peak_size);
+    if (domain.cache != nullptr) batch.cache_stats += domain.cache->stats();
   }
   for (const auto& worker_samplers : samplers) {
     for (const auto& sampler : worker_samplers) {
@@ -217,7 +173,7 @@ std::vector<smt::SampleResult> BatchRunner::sample(
   std::vector<smt::SampleResult> results(loads.size());
   std::vector<std::unique_ptr<smt::ThroughputSampler>> samplers(jobs);
 
-  parallel_for_stealing(jobs, loads.size(), [&](std::size_t i, unsigned worker) {
+  parallel_for(jobs, loads.size(), [&](std::size_t i, unsigned worker) {
     std::unique_ptr<smt::ThroughputSampler>& sampler = samplers[worker];
     if (sampler == nullptr) {
       sampler = std::make_unique<smt::ThroughputSampler>(chip, options);

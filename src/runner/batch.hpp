@@ -2,8 +2,8 @@
 //
 // The paper's tables are built from many independent (workload, placement,
 // priority) simulations; BatchRunner executes such a batch on a pool of
-// worker threads with work stealing, so reproducing Tables IV-VI uses every
-// host core instead of one.
+// worker threads that claim runs from one shared cursor, so reproducing
+// Tables IV-VI uses every host core instead of one.
 //
 // Determinism guarantee: the per-run results are identical for ANY worker
 // count, including 1. Three properties make this hold:
@@ -157,12 +157,12 @@ struct CliOptions {
 [[nodiscard]] unsigned resolve_jobs(unsigned requested, std::size_t num_items);
 
 /// Runs fn(item, worker) for every item in [0, num_items) on `jobs`
-/// threads with work stealing (the scheduling loop behind BatchRunner,
-/// exposed for other embarrassingly parallel drivers such as
-/// simcheck's fuzz batches). Items are distributed round-robin; an idle
-/// worker steals from the back of its neighbours' deques. `fn` must not
+/// threads (the scheduling loop behind BatchRunner, exposed for other
+/// embarrassingly parallel drivers such as simcheck's fuzz batches). Each
+/// worker claims the next unclaimed item from one atomic cursor; with
+/// jobs <= 1 it is a plain loop on the calling thread. `fn` must not
 /// throw — per-item errors are the caller's to capture.
-void parallel_for_stealing(unsigned jobs, std::size_t num_items,
-                           const std::function<void(std::size_t, unsigned)>& fn);
+void parallel_for(unsigned jobs, std::size_t num_items,
+                  const std::function<void(std::size_t, unsigned)>& fn);
 
 }  // namespace smtbal::runner

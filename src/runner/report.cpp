@@ -153,8 +153,11 @@ std::string to_json_batch_record(const BatchResult& batch) {
      << "},\"sample_cache\":{\"hits\":" << cache.hits
      << ",\"misses\":" << cache.misses << ",\"inserts\":" << cache.inserts
      << ",\"evictions\":" << cache.evictions
-     << ",\"peak_size\":" << cache.peak_size
-     << ",\"hit_rate\":" << json_num(cache.hit_rate()) << "}}";
+     << ",\"peak_size\":" << cache.peak_size;
+  // Always 0 unless determinism broke; printed only then, so the schema
+  // of a healthy trailer is unchanged.
+  if (cache.divergent != 0) os << ",\"divergent\":" << cache.divergent;
+  os << ",\"hit_rate\":" << json_num(cache.hit_rate()) << "}}";
   return os.str();
 }
 

@@ -44,10 +44,6 @@ StatSelection parse_stats(const std::string& list, std::string_view source,
 
 }  // namespace
 
-std::string_view to_string(Lane lane) {
-  return lane == Lane::kInteractive ? "interactive" : "batch";
-}
-
 std::string_view to_string(Status status) {
   switch (status) {
     case Status::kOk: return "ok";
@@ -61,33 +57,7 @@ std::vector<EvalRequest> parse_requests(std::istream& in,
                                         std::string_view source) {
   std::vector<EvalRequest> requests;
   std::set<std::string> seen_ids;
-  bool have_meta = false;
-  std::string line_text;
-  std::size_t line = 0;
-  while (std::getline(in, line_text)) {
-    ++line;
-    if (line_text.find_first_not_of(" \t\r") == std::string::npos) continue;
-    if (!line_text.empty() && line_text.back() == '\r') line_text.pop_back();
-    const Record record = jsonl::parse_flat_object(line_text, source, line);
-    const std::string schema =
-        jsonl::require_string(record, "schema", source, line);
-    if (schema != kEvalRequestSchema) {
-      fail(source, line,
-           "unsupported schema '" + schema + "' (expected '" +
-               std::string(kEvalRequestSchema) + "')");
-    }
-    const std::string type = jsonl::require_string(record, "type", source, line);
-    if (type == "meta") {
-      if (have_meta) fail(source, line, "duplicate meta record");
-      have_meta = true;
-      continue;
-    }
-    if (type != "eval") {
-      fail(source, line, "unknown record type '" + type + "'");
-    }
-    if (!have_meta) {
-      fail(source, line, "eval record before the meta record");
-    }
+  const auto on_eval = [&](const Record& record, std::size_t line) {
     EvalRequest request;
     request.id = jsonl::require_string(record, "id", source, line);
     if (request.id.empty()) fail(source, line, "field \"id\" must not be empty");
@@ -149,11 +119,9 @@ std::vector<EvalRequest> parse_requests(std::istream& in,
           jsonl::require_string(record, "stats", source, line), source, line);
     }
     requests.push_back(std::move(request));
-  }
-  if (!have_meta) {
-    throw InvalidArgument(std::string(source) +
-                          ": empty request feed (no meta record)");
-  }
+  };
+  jsonl::read_feed(in, source, {kEvalRequestSchema, "eval", "request feed"},
+                   [](const Record&, std::size_t) {}, on_eval);
   return requests;
 }
 

@@ -115,7 +115,6 @@ struct EvalResponse {
 /// (no trailing newline). Deterministic: identical for any worker count.
 [[nodiscard]] std::string to_json_record(const EvalResponse& response);
 
-[[nodiscard]] std::string_view to_string(Lane lane);
 [[nodiscard]] std::string_view to_string(Status status);
 
 }  // namespace smtbal::service

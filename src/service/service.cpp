@@ -350,15 +350,7 @@ ServiceStats EvalService::stats() const {
   stats.store = store_->stats();
   {
     const std::lock_guard<std::mutex> lock(domains_mutex_);
-    for (const Domain& domain : domains_) {
-      const smt::SampleCacheStats cache = domain.cache->stats();
-      stats.cache.hits += cache.hits;
-      stats.cache.misses += cache.misses;
-      stats.cache.inserts += cache.inserts;
-      stats.cache.evictions += cache.evictions;
-      stats.cache.peak_size = std::max(stats.cache.peak_size, cache.peak_size);
-      stats.cache.divergent += cache.divergent;
-    }
+    for (const Domain& domain : domains_) stats.cache += domain.cache->stats();
   }
   return stats;
 }
@@ -387,8 +379,11 @@ std::string EvalService::trailer() const {
      << "},\"sample_cache\":{\"hits\":" << s.cache.hits
      << ",\"misses\":" << s.cache.misses << ",\"inserts\":" << s.cache.inserts
      << ",\"evictions\":" << s.cache.evictions
-     << ",\"peak_size\":" << s.cache.peak_size
-     << ",\"hit_rate\":" << jsonl::json_num(s.cache.hit_rate()) << "}}";
+     << ",\"peak_size\":" << s.cache.peak_size;
+  // Always 0 unless determinism broke; printed only then, so the schema
+  // of a healthy trailer is unchanged.
+  if (s.cache.divergent != 0) os << ",\"divergent\":" << s.cache.divergent;
+  os << ",\"hit_rate\":" << jsonl::json_num(s.cache.hit_rate()) << "}}";
   return os.str();
 }
 

@@ -220,9 +220,4 @@ ResultStore::Stats ResultStore::stats() const {
   return stats_;
 }
 
-std::size_t ResultStore::size() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return entries_.size();
-}
-
 }  // namespace smtbal::service

@@ -91,7 +91,6 @@ class ResultStore {
                const EvalResult& result);
 
   [[nodiscard]] Stats stats() const;
-  [[nodiscard]] std::size_t size() const;
 
  private:
   struct Entry {

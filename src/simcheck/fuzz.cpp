@@ -47,7 +47,7 @@ FuzzReport run_fuzz(
     const std::size_t n = std::min(batch_size, options.count - done);
     const std::uint64_t base = options.seed_base + done;
     std::vector<std::optional<FuzzFailure>> slots(n);
-    runner::parallel_for_stealing(jobs, n, [&](std::size_t i, unsigned) {
+    runner::parallel_for(jobs, n, [&](std::size_t i, unsigned) {
       const std::uint64_t seed = base + i;
       const ScenarioSpec spec = options.mode == FuzzMode::kFlat
                                     ? random_flat_spec(seed)
@@ -57,7 +57,7 @@ FuzzReport run_fuzz(
         message = checker(spec);
       } catch (const std::exception& e) {
         // check_spec contains its own catch; this guards custom
-        // predicates (parallel_for_stealing requires a non-throwing fn).
+        // predicates (parallel_for requires a non-throwing fn).
         message = std::string("unhandled exception: ") + e.what();
       }
       if (message) {

@@ -1,7 +1,7 @@
 // The fuzzing loop: seed range in, divergence reports out.
 //
 // run_fuzz() draws one scenario per seed, runs every differential
-// applicable to it (differ.hpp) on a work-stealing worker pool, and
+// applicable to it (differ.hpp) on the batch runner's worker pool, and
 // collects the seeds that diverged. Failures are deterministic: the
 // printed spec line replays the exact scenario regardless of worker
 // count or scheduling. Each failure is optionally shrunk to a minimal

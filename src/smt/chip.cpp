@@ -46,10 +46,6 @@ void Chip::set_priority(CpuId cpu, HwPriority priority) {
   core(cpu.core).set_priority(cpu.slot, priority);
 }
 
-HwPriority Chip::priority(CpuId cpu) const {
-  return core(cpu.core).priority(cpu.slot);
-}
-
 const ThreadPerf& Chip::perf(CpuId cpu) const {
   return core(cpu.core).perf(cpu.slot);
 }

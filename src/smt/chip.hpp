@@ -46,7 +46,6 @@ class Chip {
   /// Convenience accessors addressing a context by CpuId.
   void bind_stream(CpuId cpu, isa::StreamGen* stream);
   void set_priority(CpuId cpu, HwPriority priority);
-  [[nodiscard]] HwPriority priority(CpuId cpu) const;
   [[nodiscard]] const ThreadPerf& perf(CpuId cpu) const;
 
   /// Advances every core by one cycle (cores share the clock).

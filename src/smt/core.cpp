@@ -146,18 +146,15 @@ void Core::bind_stream(ThreadSlot slot, isa::StreamGen* stream) {
 
 void Core::set_priority(ThreadSlot slot, HwPriority priority) {
   SMTBAL_REQUIRE(slot.value() < threads_.size(), "bad thread slot");
-  threads_[slot.value()].priority = priority;
   arbiter_.set_priority(slot.value(), priority);
-}
-
-HwPriority Core::priority(ThreadSlot slot) const {
-  SMTBAL_REQUIRE(slot.value() < threads_.size(), "bad thread slot");
-  return threads_[slot.value()].priority;
 }
 
 bool Core::decode_ready(ThreadSlot slot) const {
   SMTBAL_REQUIRE(slot.value() < threads_.size(), "bad thread slot");
-  return can_decode(threads_[slot.value()]);
+  const ThreadState& thread = threads_[slot.value()];
+  return has_instructions(thread) &&
+         thread.count < config_.per_thread_inflight &&
+         gct_used_ < config_.gct_entries;
 }
 
 std::uint64_t Core::next_seq(ThreadSlot slot) const {
@@ -199,12 +196,6 @@ void Core::drain() {
 bool Core::has_instructions(const ThreadState& thread) const {
   return thread.stream != nullptr && !thread.mispredict_pending &&
          now_ >= thread.redirect_until && !thread.fetch_empty;
-}
-
-bool Core::can_decode(const ThreadState& thread) const {
-  return has_instructions(thread) &&
-         thread.count < config_.per_thread_inflight &&
-         gct_used_ < config_.gct_entries;
 }
 
 void Core::decode_thread(ThreadState& thread) {

@@ -102,7 +102,6 @@ class Core {
   void bind_stream(ThreadSlot slot, isa::StreamGen* stream);
 
   void set_priority(ThreadSlot slot, HwPriority priority);
-  [[nodiscard]] HwPriority priority(ThreadSlot slot) const;
 
   /// Advances the core by one cycle.
   void step();
@@ -175,7 +174,6 @@ class Core {
   /// dominated the whole simulator's profile.
   struct ThreadState {
     isa::StreamGen* stream = nullptr;
-    HwPriority priority = kDefaultPriority;
     HotSlot* hot = nullptr;    ///< this thread's arena slice (ring storage)
     ColdSlot* cold = nullptr;  ///< parallel array, same indexing
     /// One bit per ring slot: set while the entry is unissued and its
@@ -208,7 +206,6 @@ class Core {
   };
 
   [[nodiscard]] bool has_instructions(const ThreadState& thread) const;
-  [[nodiscard]] bool can_decode(const ThreadState& thread) const;
   void decode_thread(ThreadState& thread);
   void issue();
   void issue_op(ThreadState& thread, std::uint32_t slot);

@@ -181,40 +181,14 @@ DecodeArbiter::DecodeArbiter(std::vector<HwPriority> priorities,
   rebuild();
 }
 
-DecodeArbiter::DecodeArbiter(HwPriority a, HwPriority b, bool work_conserving)
-    : DecodeArbiter(std::vector<HwPriority>{a, b}, work_conserving) {}
-
-void DecodeArbiter::set_priorities(std::vector<HwPriority> priorities) {
-  priorities_ = std::move(priorities);
-  rebuild();
-}
-
-void DecodeArbiter::set_priorities(HwPriority a, HwPriority b) {
-  set_priorities(std::vector<HwPriority>{a, b});
-}
-
 void DecodeArbiter::set_priority(std::size_t slot, HwPriority priority) {
   SMTBAL_REQUIRE(slot < priorities_.size(), "bad arbiter slot");
   priorities_[slot] = priority;
   rebuild();
 }
 
-HwPriority DecodeArbiter::priority(std::size_t slot) const {
-  SMTBAL_REQUIRE(slot < priorities_.size(), "bad arbiter slot");
-  return priorities_[slot];
-}
-
-const DecodeShare& DecodeArbiter::share() const {
-  SMTBAL_REQUIRE(priorities_.size() == 2,
-                 "DecodeShare is the 2-context view; use schedule()");
-  return share_;
-}
-
 void DecodeArbiter::rebuild() {
   schedule_ = decode_schedule(priorities_);
-  if (priorities_.size() == 2) {
-    share_ = decode_share(priorities_[0], priorities_[1]);
-  }
   donation_order_.resize(priorities_.size());
   for (std::size_t i = 0; i < priorities_.size(); ++i) donation_order_[i] = i;
   std::stable_sort(donation_order_.begin(), donation_order_.end(),
@@ -248,16 +222,6 @@ int DecodeArbiter::grant(Cycle cycle,
     }
   }
   return -1;
-}
-
-DecodeGrant DecodeArbiter::grant(Cycle cycle, ThreadSignals a,
-                                 ThreadSignals b) const {
-  const std::array<ThreadSignals, 2> signals{a, b};
-  switch (grant(cycle, signals)) {
-    case 0: return DecodeGrant::kThreadA;
-    case 1: return DecodeGrant::kThreadB;
-    default: return DecodeGrant::kNone;
-  }
 }
 
 }  // namespace smtbal::smt

@@ -67,7 +67,8 @@ enum class PrivilegeLevel : std::uint8_t {
 /// How the decode stage divides cycles between two contexts given their
 /// priorities. `slots_a` of every `slice_cycles` decode cycles belong to
 /// thread A and `slots_b` to thread B (the rest, if any, are idle). This is
-/// the 2-context view of the N-way DecodeSchedule below.
+/// the 2-context view of the N-way DecodeSchedule below, as the paper's
+/// Tables II/III print it.
 struct DecodeShare {
   std::uint32_t slice_cycles = 2;  ///< R
   std::uint32_t slots_a = 1;
@@ -78,13 +79,6 @@ struct DecodeShare {
   /// cycles the other thread cannot use.
   bool a_leftover_only = false;
   bool b_leftover_only = false;
-
-  [[nodiscard]] double fraction_a() const {
-    return static_cast<double>(slots_a) / static_cast<double>(slice_cycles);
-  }
-  [[nodiscard]] double fraction_b() const {
-    return static_cast<double>(slots_b) / static_cast<double>(slice_cycles);
-  }
 };
 
 /// Computes the decode share for a pair of priorities, implementing
@@ -124,9 +118,6 @@ struct DecodeSchedule {
 [[nodiscard]] DecodeSchedule decode_schedule(
     std::span<const HwPriority> priorities);
 
-/// Which thread (if any) owns a given decode cycle (2-context view).
-enum class DecodeGrant : std::uint8_t { kNone, kThreadA, kThreadB };
-
 /// Per-cycle decode readiness of one context, as seen by the arbiter.
 struct ThreadSignals {
   /// The thread can decode this cycle (instructions available AND shared
@@ -152,32 +143,21 @@ struct ThreadSignals {
 /// prioritisation, see bench_ablation_interference).
 class DecodeArbiter {
  public:
-  /// N-way: one priority per context, slot order.
+  /// One priority per context, slot order. The paper's POWER5 core is
+  /// the two-context case.
   explicit DecodeArbiter(std::vector<HwPriority> priorities,
                          bool work_conserving = false);
-  /// 2-context convenience constructor (the paper's POWER5 shape).
-  DecodeArbiter(HwPriority a, HwPriority b, bool work_conserving = false);
 
-  void set_priorities(std::vector<HwPriority> priorities);
-  void set_priorities(HwPriority a, HwPriority b);
   /// Updates a single context's priority, rebuilding the schedule.
   void set_priority(std::size_t slot, HwPriority priority);
 
   [[nodiscard]] std::size_t num_contexts() const { return priorities_.size(); }
-  [[nodiscard]] HwPriority priority(std::size_t slot) const;
-  [[nodiscard]] HwPriority priority_a() const { return priorities_[0]; }
-  [[nodiscard]] HwPriority priority_b() const { return priorities_[1]; }
   [[nodiscard]] const DecodeSchedule& schedule() const { return schedule_; }
-  /// 2-context share view; requires num_contexts() == 2.
-  [[nodiscard]] const DecodeShare& share() const;
 
   /// Decides which context decodes in `cycle`; -1 when the cycle idles.
   /// `signals` must have one entry per context.
   [[nodiscard]] int grant(Cycle cycle,
                           std::span<const ThreadSignals> signals) const;
-  /// 2-context convenience wrapper over the N-way grant.
-  [[nodiscard]] DecodeGrant grant(Cycle cycle, ThreadSignals a,
-                                  ThreadSignals b) const;
 
  private:
   void rebuild();
@@ -185,7 +165,6 @@ class DecodeArbiter {
   std::vector<HwPriority> priorities_;
   bool work_conserving_;
   DecodeSchedule schedule_;
-  DecodeShare share_;  ///< pair view, maintained when num_contexts() == 2
   /// Donation candidates, highest priority first (ties: lowest slot).
   std::vector<std::size_t> donation_order_;
   /// Fast-path grant state, precomputed by rebuild(): every 2-context

@@ -82,6 +82,16 @@ SamplerStats& SamplerStats::operator+=(const SamplerStats& other) {
   return *this;
 }
 
+SampleCacheStats& SampleCacheStats::operator+=(const SampleCacheStats& other) {
+  hits += other.hits;
+  misses += other.misses;
+  inserts += other.inserts;
+  evictions += other.evictions;
+  peak_size = std::max(peak_size, other.peak_size);
+  divergent += other.divergent;
+  return *this;
+}
+
 SamplerStats& SamplerStats::operator-=(const SamplerStats& other) {
   lookups -= other.lookups;
   misses -= other.misses;
@@ -131,11 +141,6 @@ void SampleCache::set_capacity(std::size_t capacity) {
   }
 }
 
-std::size_t SampleCache::capacity() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return capacity_;
-}
-
 void SampleCache::publish(std::uint64_t key, const SampleResult& result) {
   const std::lock_guard<std::mutex> lock(mutex_);
   const auto [it, inserted] = map_.emplace(key, result);
@@ -171,11 +176,6 @@ void SampleCache::publish(std::uint64_t key, const SampleResult& result) {
 SampleCacheStats SampleCache::stats() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return stats_;
-}
-
-std::size_t SampleCache::size() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return map_.size();
 }
 
 const SampleResult& ThroughputSampler::sample(const ChipLoad& load) {

@@ -185,6 +185,11 @@ struct SampleCacheStats {
   /// simcheck fuzzer hunts for.
   std::uint64_t divergent = 0;
 
+  /// Sums every counter across domains, except peak_size: independent
+  /// caches peak at different moments, so the largest single-domain
+  /// high-water mark is kept.
+  SampleCacheStats& operator+=(const SampleCacheStats& other);
+
   [[nodiscard]] double hit_rate() const {
     const std::uint64_t lookups = hits + misses;
     return lookups ? static_cast<double>(hits) / static_cast<double>(lookups)
@@ -215,7 +220,6 @@ class SampleCache {
 
   /// Overrides the strict divergence-checking default (see publish()).
   void set_strict(bool strict) { strict_ = strict; }
-  [[nodiscard]] bool strict() const { return strict_; }
 
   /// Bounds the cache to `capacity` entries with deterministic
   /// insertion-order (FIFO) eviction; 0 (the default) keeps it unbounded,
@@ -223,13 +227,10 @@ class SampleCache {
   /// simply re-measured and re-inserted — with measure() pure, eviction
   /// affects memory and counters, never results.
   void set_capacity(std::size_t capacity);
-  [[nodiscard]] std::size_t capacity() const;
 
   /// Snapshot of the hit/miss counters (totals across all attached
   /// samplers; order-dependent under concurrency — report, don't compare).
   [[nodiscard]] SampleCacheStats stats() const;
-
-  [[nodiscard]] std::size_t size() const;
 
  private:
   mutable std::mutex mutex_;

@@ -43,38 +43,15 @@ void emit_prefix(std::ostream& os, const char* type) {
 
 mpisim::Application parse_trace(std::istream& in, std::string_view source) {
   mpisim::Application app;
-  bool have_meta = false;
-  std::string line_text;
-  std::size_t line = 0;
-  while (std::getline(in, line_text)) {
-    ++line;
-    if (line_text.find_first_not_of(" \t\r") == std::string::npos) continue;
-    if (!line_text.empty() && line_text.back() == '\r') line_text.pop_back();
-    const Record record = parse_flat_object(line_text, source, line);
-    const std::string schema = require_string(record, "schema", source, line);
-    if (schema != kTraceReplaySchema) {
-      fail(source, line,
-           "unsupported schema '" + schema + "' (expected '" +
-               std::string(kTraceReplaySchema) + "')");
+  const auto on_meta = [&](const Record& record, std::size_t line) {
+    const std::uint64_t ranks = require_count(record, "ranks", source, line);
+    if (ranks == 0) fail(source, line, "meta.ranks must be >= 1");
+    app.ranks.resize(ranks);
+    if (record.count("name")) {
+      app.name = require_string(record, "name", source, line);
     }
-    const std::string type = require_string(record, "type", source, line);
-    if (type == "meta") {
-      if (have_meta) fail(source, line, "duplicate meta record");
-      const std::uint64_t ranks = require_count(record, "ranks", source, line);
-      if (ranks == 0) fail(source, line, "meta.ranks must be >= 1");
-      app.ranks.resize(ranks);
-      if (record.count("name")) {
-        app.name = require_string(record, "name", source, line);
-      }
-      have_meta = true;
-      continue;
-    }
-    if (type != "interval") {
-      fail(source, line, "unknown record type '" + type + "'");
-    }
-    if (!have_meta) {
-      fail(source, line, "interval record before the meta record");
-    }
+  };
+  const auto on_interval = [&](const Record& record, std::size_t line) {
     const std::uint64_t rank = require_count(record, "rank", source, line);
     if (rank >= app.ranks.size()) {
       fail(source, line,
@@ -140,11 +117,9 @@ mpisim::Application parse_trace(std::istream& in, std::string_view source) {
     } else {
       fail(source, line, "unknown interval kind '" + kind + "'");
     }
-  }
-  if (!have_meta) {
-    throw InvalidArgument(std::string(source) +
-                          ": empty trace (no meta record)");
-  }
+  };
+  jsonl::read_feed(in, source, {kTraceReplaySchema, "interval", "trace"},
+                   on_meta, on_interval);
   try {
     app.validate();
   } catch (const std::exception& e) {
@@ -206,36 +181,6 @@ std::string emit_trace(const mpisim::Application& app) {
           phase);
       os << "}\n";
     }
-  }
-  return os.str();
-}
-
-std::string emit_trace(const trace::Tracer& tracer, std::string_view name) {
-  std::ostringstream os;
-  emit_prefix(os, "meta");
-  os << ",\"ranks\":" << tracer.num_ranks() << ",\"name\":\""
-     << json_escape(name) << "\"}\n";
-  for (std::size_t r = 0; r < tracer.num_ranks(); ++r) {
-    const auto rank = RankId{static_cast<std::uint32_t>(r)};
-    for (const trace::Interval& interval : tracer.timeline(rank)) {
-      const double duration = interval.end - interval.begin;
-      if (duration <= 0.0) continue;
-      switch (interval.state) {
-        case trace::RankState::kCompute:
-        case trace::RankState::kComm:
-        case trace::RankState::kStat:
-        case trace::RankState::kPreempted:
-          break;
-        default:
-          continue;  // waiting/idle is re-derived by the replay
-      }
-      emit_prefix(os, "interval");
-      os << ",\"rank\":" << r << ",\"kind\":\"delay\",\"duration\":"
-         << json_num(duration) << ",\"state\":\""
-         << trace::to_string(interval.state) << "\"}\n";
-    }
-    emit_prefix(os, "interval");
-    os << ",\"rank\":" << r << ",\"kind\":\"barrier\"}\n";
   }
   return os.str();
 }

@@ -24,12 +24,8 @@
 // validation (matched collectives and sends/recvs), so a trace that
 // would deadlock is rejected at parse time.
 //
-// Two emitters produce the format: emit_trace(Application) serialises a
-// phase program losslessly (parse ∘ emit is the identity), and
-// emit_trace(Tracer) compiles a *finished run's* recorded timelines into
-// a duration-faithful skeleton — busy intervals become fixed delays, one
-// final barrier re-synchronises — whose replayed completion time tracks
-// the original run's.
+// emit_trace serialises a phase program losslessly (parse ∘ emit is the
+// identity); the evaluation service keys trace requests on that text.
 #pragma once
 
 #include <iosfwd>
@@ -55,13 +51,5 @@ inline constexpr std::string_view kTraceReplaySchema = "smtbal.trace-replay/1";
 
 /// Serialises an Application losslessly into the trace format.
 [[nodiscard]] std::string emit_trace(const mpisim::Application& app);
-
-/// Compiles a finished run's recorded timelines into a replayable trace:
-/// every busy interval (compute/stat/comm/preempted) becomes a
-/// fixed-duration delay record labelled with its state, sync/idle
-/// intervals are dropped (the replay re-derives the waiting), and one
-/// final barrier closes every rank. The tracer must be finished.
-[[nodiscard]] std::string emit_trace(const trace::Tracer& tracer,
-                                     std::string_view name);
 
 }  // namespace smtbal::workloads

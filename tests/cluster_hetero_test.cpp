@@ -143,7 +143,8 @@ TEST(ClusterHetero, AllEqualOverridesAreByteIdenticalToNoOverrides) {
        .threads_per_core = spelled.node.chip.threads_per_core(),
        .clock_scale = 1.0},
       {}};
-  EXPECT_FALSE(spelled.homogeneous());  // not *syntactically* uniform
+  // Not *syntactically* uniform.
+  EXPECT_FALSE(spelled.node_shapes[0].is_default());
 
   const ClusterRunResult a = run_skewed_with(plain);
   const ClusterRunResult b = run_skewed_with(spelled);
@@ -165,7 +166,7 @@ TEST(ClusterHetero, BlockByCapacityFillsEachNodeToItsOwnWidth) {
   for (std::size_t r = 4; r < 10; ++r) {
     EXPECT_EQ(p.within.cpu_of_rank[r].linear(4), r - 4) << "rank " << r;
   }
-  p.validate({4, 8}, {2, 4});
+  p.within.validate(p.node_of_rank, {4, 8}, {2, 4});
 
   EXPECT_THROW(ClusterPlacement::block_by_capacity(13, {4, 8}, {2, 4}),
                InvalidArgument);
@@ -176,8 +177,9 @@ TEST(ClusterHetero, HeteroValidateChecksEachNodesOwnShape) {
   // node: the same placement must pass on one and fail on the other.
   const ClusterPlacement p = ClusterPlacement::explicit_map(
       {0}, mpisim::Placement::from_linear({6}, 4));
-  p.validate({8, 8}, {4, 4});
-  EXPECT_THROW(p.validate({4, 8}, {2, 4}), InvalidArgument);
+  p.within.validate(p.node_of_rank, {8, 8}, {4, 4});
+  EXPECT_THROW(p.within.validate(p.node_of_rank, {4, 8}, {2, 4}),
+               InvalidArgument);
 }
 
 // --- engine ----------------------------------------------------------------

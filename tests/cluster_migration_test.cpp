@@ -367,7 +367,8 @@ TEST(ClusterPlacement, RejectsSlotAliasing) {
                         CpuId{CoreId{0}, ThreadSlot{2}}};
   const ClusterPlacement aliased =
       ClusterPlacement::explicit_map({0, 0}, within);
-  EXPECT_THROW(aliased.validate(1, 4, 2), InvalidArgument);
+  EXPECT_THROW(aliased.within.validate(aliased.node_of_rank, {4}, {2}),
+               InvalidArgument);
 }
 
 TEST(ClusterPlacement, AcceptsHoleContainingPlacements) {
@@ -375,7 +376,7 @@ TEST(ClusterPlacement, AcceptsHoleContainingPlacements) {
   // depend on it.
   const ClusterPlacement holes = ClusterPlacement::explicit_map(
       {0, 0, 1}, mpisim::Placement::from_linear({0, 3, 1}));
-  holes.validate(2, 4, 2);
+  holes.within.validate(holes.node_of_rank, {4, 4}, {2, 2});
 }
 
 // --- repartition policy config + scenario spec -----------------------------

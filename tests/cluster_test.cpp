@@ -25,6 +25,15 @@ namespace {
 
 // --- placement -------------------------------------------------------------
 
+// Checks `p` against `nodes` identical nodes of `contexts` contexts with
+// `tpc` SMT slots per core.
+void validate_uniform(const ClusterPlacement& p, std::uint32_t nodes,
+                      std::uint32_t contexts, std::uint32_t tpc) {
+  p.within.validate(p.node_of_rank,
+                    std::vector<std::uint32_t>(nodes, contexts),
+                    std::vector<std::uint32_t>(nodes, tpc));
+}
+
 TEST(ClusterPlacement, BlockFillsNodesConsecutively) {
   const ClusterPlacement p = ClusterPlacement::block(8, 2);
   EXPECT_EQ(p.node_of_rank,
@@ -32,7 +41,7 @@ TEST(ClusterPlacement, BlockFillsNodesConsecutively) {
   for (std::size_t r = 0; r < 8; ++r) {
     EXPECT_EQ(p.within.cpu_of_rank[r].linear(2), r % 4) << "rank " << r;
   }
-  p.validate(2, 4, 2);
+  validate_uniform(p, 2, 4, 2);
 }
 
 TEST(ClusterPlacement, BlockHandlesUnevenRankCounts) {
@@ -43,7 +52,7 @@ TEST(ClusterPlacement, BlockHandlesUnevenRankCounts) {
   for (std::size_t r = 0; r < 5; ++r) {
     EXPECT_EQ(p.within.cpu_of_rank[r].linear(2), locals[r]) << "rank " << r;
   }
-  p.validate(2, 4, 2);
+  validate_uniform(p, 2, 4, 2);
 }
 
 TEST(ClusterPlacement, CyclicRoundRobinsAcrossNodes) {
@@ -53,34 +62,34 @@ TEST(ClusterPlacement, CyclicRoundRobinsAcrossNodes) {
   for (std::size_t r = 0; r < 6; ++r) {
     EXPECT_EQ(p.within.cpu_of_rank[r].linear(2), locals[r]) << "rank " << r;
   }
-  p.validate(2, 4, 2);
+  validate_uniform(p, 2, 4, 2);
 }
 
 TEST(ClusterPlacement, ValidateRejectsBadShapes) {
   // The two maps must agree in length.
   ClusterPlacement mismatched = ClusterPlacement::block(4, 2);
   mismatched.node_of_rank.pop_back();
-  EXPECT_THROW(mismatched.validate(2, 4, 2), InvalidArgument);
+  EXPECT_THROW(validate_uniform(mismatched, 2, 4, 2), InvalidArgument);
 
   // Node index out of range.
   ClusterPlacement bad_node = ClusterPlacement::block(4, 2);
   bad_node.node_of_rank[3] = 7;
-  EXPECT_THROW(bad_node.validate(2, 4, 2), InvalidArgument);
+  EXPECT_THROW(validate_uniform(bad_node, 2, 4, 2), InvalidArgument);
 
   // Within-node CPU beyond the node's chip.
   const ClusterPlacement big_cpu = ClusterPlacement::explicit_map(
       {0, 0}, mpisim::Placement::from_linear({0, 5}));
-  EXPECT_THROW(big_cpu.validate(1, 4, 2), InvalidArgument);
+  EXPECT_THROW(validate_uniform(big_cpu, 1, 4, 2), InvalidArgument);
 
   // Two ranks on one (node, CPU) seat.
   const ClusterPlacement collision = ClusterPlacement::explicit_map(
       {0, 0}, mpisim::Placement::from_linear({1, 1}));
-  EXPECT_THROW(collision.validate(1, 4, 2), InvalidArgument);
+  EXPECT_THROW(validate_uniform(collision, 1, 4, 2), InvalidArgument);
 
   // The same CPU on *different* nodes is fine.
   const ClusterPlacement distinct = ClusterPlacement::explicit_map(
       {0, 1}, mpisim::Placement::from_linear({1, 1}));
-  distinct.validate(2, 4, 2);
+  validate_uniform(distinct, 2, 4, 2);
 }
 
 // --- interconnect ----------------------------------------------------------
@@ -125,7 +134,7 @@ TEST(Interconnect, FirstTransferOnIdleLinkIsUncontended) {
     Interconnect net(config, 3);
     EXPECT_DOUBLE_EQ(net.transfer(1.0, 0, 1, 4096),
                      1.0 + net.uncontended_cost(4096))
-        << to_string(topology);
+        << "topology " << static_cast<int>(topology);
   }
 }
 
@@ -139,7 +148,8 @@ TEST(Interconnect, BackToBackTransfersQueueMonotonically) {
     SimTime prev = 0.0;
     for (int i = 0; i < 4; ++i) {
       const SimTime arrival = net.transfer(0.0, 0, 1, 1 << 20);
-      EXPECT_GT(arrival, prev) << to_string(topology) << " transfer " << i;
+      EXPECT_GT(arrival, prev)
+          << "topology " << static_cast<int>(topology) << " transfer " << i;
       prev = arrival;
     }
   }
@@ -170,14 +180,6 @@ TEST(Interconnect, StarSharesUplinkAndDownlink) {
   Interconnect fan_in(config, 3);
   const SimTime first = fan_in.transfer(0.0, 0, 2, 1 << 20);
   EXPECT_GT(fan_in.transfer(0.0, 1, 2, 1 << 20), first);
-}
-
-TEST(Interconnect, ResetForgetsOccupancy) {
-  Interconnect net({}, 2);
-  const SimTime first = net.transfer(0.0, 0, 1, 1 << 20);
-  EXPECT_GT(net.transfer(0.0, 0, 1, 1 << 20), first);
-  net.reset();
-  EXPECT_DOUBLE_EQ(net.transfer(0.0, 0, 1, 1 << 20), first);
 }
 
 TEST(Interconnect, ZeroByteTransferCostsOnlyLatency) {
@@ -270,7 +272,6 @@ TEST(ClusterEngine, TwoLevelBoostGoesToTheLaggingNode) {
   EXPECT_GT(result.flat.exec_time, 0.0);
   EXPECT_EQ(policy.node_boost(0), 1);  // node 0 lags (1.6x load)
   EXPECT_EQ(policy.node_boost(1), 0);
-  EXPECT_GE(policy.node_adjustments(), 1u);
 }
 
 TEST(TwoLevelBalancer, ConfigRejectsUnboundedGaps) {

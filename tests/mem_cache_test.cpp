@@ -131,16 +131,6 @@ TEST(Cache, ResetStatsKeepsContents) {
   EXPECT_TRUE(cache.probe(0x000));
 }
 
-TEST(Cache, MissRateComputation) {
-  Cache cache(small_cache());
-  EXPECT_EQ(cache.stats().miss_rate(), 0.0);
-  cache.access(0x000, false);
-  cache.access(0x000, false);
-  cache.access(0x000, false);
-  cache.access(0x000, false);
-  EXPECT_DOUBLE_EQ(cache.stats().miss_rate(), 0.25);
-}
-
 TEST(Cache, FullyOccupiedWorkingSetFits) {
   Cache cache(small_cache());
   // 8 lines total (512B / 64B): a 512B working set must all fit.

@@ -11,13 +11,6 @@ smt::ChipConfig chip() { return smt::ChipConfig{}; }
 
 CpuId cpu(std::uint32_t linear) { return chip().cpu(linear); }
 
-TEST(KernelModel, FlavorNames) {
-  EXPECT_NE(to_string(KernelFlavor::kVanilla).find("vanilla"),
-            std::string_view::npos);
-  EXPECT_NE(to_string(KernelFlavor::kPatched).find("hmt_priority"),
-            std::string_view::npos);
-}
-
 TEST(KernelModel, SpawnPinsAndDefaultsToMedium) {
   KernelModel kernel(KernelFlavor::kPatched, chip());
   const Pid pid = kernel.spawn(cpu(2));
@@ -111,21 +104,11 @@ TEST(KernelModel, VanillaResetsPriorityOnInterrupt) {
   EXPECT_EQ(kernel.priority_resets(), 1u);
 }
 
-TEST(KernelModel, VanillaResetsOnSyscallToo) {
-  KernelModel kernel(KernelFlavor::kVanilla, chip());
-  const Pid pid = kernel.spawn(cpu(3));
-  kernel.set_priority_ornop(pid, smt::HwPriority::kMediumLow,
-                            smt::PrivilegeLevel::kUser);
-  kernel.on_syscall(cpu(3));
-  EXPECT_EQ(kernel.effective_priority(cpu(3)), smt::kDefaultPriority);
-}
-
 TEST(KernelModel, PatchedPreservesPriorityAcrossInterrupts) {
   KernelModel kernel(KernelFlavor::kPatched, chip());
   const Pid pid = kernel.spawn(cpu(0));
   kernel.write_hmt_priority(pid, 6);
   kernel.on_interrupt(cpu(0));
-  kernel.on_syscall(cpu(0));
   EXPECT_EQ(kernel.effective_priority(cpu(0)), smt::HwPriority::kHigh);
   EXPECT_EQ(kernel.priority_resets(), 0u);
 }

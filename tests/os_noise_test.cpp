@@ -106,12 +106,6 @@ TEST(Noise, EndIsStartPlusDuration) {
   EXPECT_DOUBLE_EQ(event.end(), 1.5);
 }
 
-TEST(Noise, KindNames) {
-  EXPECT_EQ(to_string(NoiseKind::kTimerTick), "timer-tick");
-  EXPECT_EQ(to_string(NoiseKind::kDeviceInterrupt), "device-irq");
-  EXPECT_EQ(to_string(NoiseKind::kDaemon), "daemon");
-}
-
 TEST(Noise, RejectsBadArguments) {
   EXPECT_THROW(generate_noise(NoiseConfig{}, -1.0, 4, 2), InvalidArgument);
   EXPECT_THROW(generate_noise(NoiseConfig{}, 1.0, 0, 2), InvalidArgument);

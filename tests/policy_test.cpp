@@ -4,6 +4,7 @@
 // legacy balancers against their directly-constructed originals.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -113,7 +114,10 @@ TEST(Registry, ListsEveryFamily) {
   EXPECT_GE(infos.size(), 6u);
   for (const char* name : {"static", "dynamic", "two-level", "ilp-pairing",
                            "allocation", "budget-redistribution"}) {
-    EXPECT_TRUE(Registry::instance().contains(name)) << name;
+    EXPECT_TRUE(std::any_of(
+        infos.begin(), infos.end(),
+        [&](const PolicyInfo& info) { return info.name == name; }))
+        << name;
   }
   // list() is sorted by name.
   for (std::size_t i = 1; i < infos.size(); ++i) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -125,6 +126,39 @@ TEST(BatchRunner, SharedCacheRecordsMeasurements) {
   // All specs share one sampler domain, so at least one measurement must
   // have been published. Exact hit counts are scheduling-dependent.
   EXPECT_GT(batch.cache_stats.inserts, 0u);
+}
+
+TEST(BatchRunner, CacheStatsCarryDivergentRepublishes) {
+  // A provider cache in which two writers disagreed on one key (a
+  // determinism bug, or a cache shared across sampler domains). Lenient
+  // mode, as in release builds, only counts it, so the batch totals and
+  // the trailer are the only place the fault shows.
+  auto cache = std::make_shared<smt::SampleCache>();
+  cache->set_strict(false);
+  smt::SampleResult first;
+  first.ipc[0] = 1.0;
+  smt::SampleResult wrong = first;
+  wrong.ipc[0] = 2.0;
+  cache->publish(1, first);
+  cache->publish(1, wrong);
+
+  BatchOptions options{.jobs = 1};
+  options.cache_provider = [&](const smt::ChipConfig&,
+                               const smt::ThroughputSampler::Options&) {
+    return cache;
+  };
+  const std::vector<RunSpec> specs = {make_spec("one", 1e7)};
+  const BatchResult batch = BatchRunner(options).run(specs);
+  ASSERT_TRUE(batch.runs[0].ok);
+  EXPECT_EQ(batch.cache_stats.divergent, 1u);
+  EXPECT_GT(batch.cache_stats.inserts, 1u);  // the run published too
+  EXPECT_NE(to_json_batch_record(batch).find("\"divergent\":1,"),
+            std::string::npos);
+
+  // A healthy batch keeps the trailer's shape: no divergent field.
+  const BatchResult healthy = BatchRunner({.jobs = 1}).run(specs);
+  EXPECT_EQ(healthy.cache_stats.divergent, 0u);
+  EXPECT_EQ(to_json_batch_record(healthy).find("divergent"), std::string::npos);
 }
 
 TEST(BatchRunner, SampleMatchesDirectSampler) {

@@ -214,14 +214,6 @@ TEST(Core, BadSlotThrows) {
   EXPECT_THROW(f.core.bind_stream(ThreadSlot{3}, nullptr), InvalidArgument);
 }
 
-TEST(Core, PriorityAccessorsRoundTrip) {
-  CoreFixture f;
-  f.core.set_priority(ThreadSlot{0}, HwPriority::kHigh);
-  f.core.set_priority(ThreadSlot{1}, HwPriority::kLow);
-  EXPECT_EQ(f.core.priority(ThreadSlot{0}), HwPriority::kHigh);
-  EXPECT_EQ(f.core.priority(ThreadSlot{1}), HwPriority::kLow);
-}
-
 // ---------------------------------------------------------------------------
 // The load-bearing property: priority response of co-running threads.
 // ---------------------------------------------------------------------------

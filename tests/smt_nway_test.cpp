@@ -203,17 +203,16 @@ TEST(DecodeArbiter, ResourceBlockedOwnerWastesTheSlotAtFourContexts) {
   EXPECT_EQ(arbiter.grant(0, signals), -1);
 }
 
-TEST(DecodeArbiter, PairApiStillDrivesTheNWaySchedule) {
-  DecodeArbiter arbiter(prio(4), prio(6));
+TEST(DecodeArbiter, TwoContextsDriveTheNWaySchedule) {
+  DecodeArbiter arbiter({prio(4), prio(6)});
   EXPECT_EQ(arbiter.num_contexts(), 2u);
-  EXPECT_EQ(arbiter.share().slice_cycles, 8u);
-  arbiter.set_priorities(prio(6), prio(4));
-  EXPECT_EQ(arbiter.priority_a(), prio(6));
-  EXPECT_EQ(arbiter.share().slots_a, 7u);
-  const DecodeGrant g =
-      arbiter.grant(Cycle{0}, ThreadSignals{true, true},
-                    ThreadSignals{true, true});
-  EXPECT_EQ(g, DecodeGrant::kThreadB);  // low-priority thread owns cycle 0
+  EXPECT_EQ(arbiter.schedule().slice_cycles, 8u);
+  arbiter.set_priority(0, prio(6));
+  arbiter.set_priority(1, prio(4));
+  EXPECT_EQ(arbiter.schedule().slots[0], 7u);
+  const std::array<ThreadSignals, 2> signals{ThreadSignals{true, true},
+                                             ThreadSignals{true, true}};
+  EXPECT_EQ(arbiter.grant(Cycle{0}, signals), 1);  // low priority owns cycle 0
 }
 
 TEST(CoreConfigValidate, GroupBreakProbBoundary) {
@@ -254,8 +253,8 @@ TEST(Smt4Chip, CoreRejectsSlotsBeyondItsWidth) {
   ChipConfig config;
   config.core.threads_per_core = 4;
   Chip chip(config);
-  EXPECT_NO_THROW((void)chip.core(CoreId{0}).priority(ThreadSlot{3}));
-  EXPECT_THROW((void)chip.core(CoreId{0}).priority(ThreadSlot{4}),
+  EXPECT_NO_THROW((void)chip.core(CoreId{0}).perf(ThreadSlot{3}));
+  EXPECT_THROW((void)chip.core(CoreId{0}).perf(ThreadSlot{4}),
                InvalidArgument);
 }
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <vector>
+
 #include "common/error.hpp"
 
 namespace smtbal::smt {
@@ -120,11 +123,12 @@ TEST_P(TableTwo, FractionsSumToOne) {
   const auto [a, b] = GetParam();
   const DecodeShare share =
       decode_share(priority_from_int(a), priority_from_int(b));
-  EXPECT_LE(share.fraction_a() + share.fraction_b(), 1.0 + 1e-12);
+  // Above priority 1 no cycle of the slice idles.
+  EXPECT_EQ(share.slots_a + share.slots_b, share.slice_cycles);
   if (a == b) {
     // Equal priorities: strict alternation, both get 1 of 2.
-    EXPECT_DOUBLE_EQ(share.fraction_a(), 0.5);
-    EXPECT_DOUBLE_EQ(share.fraction_b(), 0.5);
+    EXPECT_EQ(share.slice_cycles, 2u);
+    EXPECT_EQ(share.slots_a, 1u);
   }
 }
 
@@ -174,7 +178,7 @@ TEST(TableThree, StModeGivesEverythingToRunningThread) {
   const DecodeShare share = decode_share(HwPriority::kOff, HwPriority::kMedium);
   EXPECT_FALSE(share.a_runs);
   EXPECT_TRUE(share.b_runs);
-  EXPECT_DOUBLE_EQ(share.fraction_b(), 1.0);
+  EXPECT_EQ(share.slots_b, share.slice_cycles);
 }
 
 TEST(TableThree, OffAgainstVeryLowIsOneOf32) {
@@ -192,8 +196,24 @@ TEST(TableThree, BothOffStopsProcessor) {
 }
 
 // ---------------------------------------------------------------------------
-// DecodeArbiter: cycle-by-cycle grants realise the share exactly.
+// DecodeArbiter at the paper's two contexts: cycle-by-cycle grants realise
+// the Table II/III share exactly.
 // ---------------------------------------------------------------------------
+
+constexpr int kA = 0;
+constexpr int kB = 1;
+constexpr int kNone = -1;
+
+DecodeArbiter pair_arbiter(HwPriority a, HwPriority b,
+                           bool work_conserving = false) {
+  return DecodeArbiter({a, b}, work_conserving);
+}
+
+int grant(const DecodeArbiter& arbiter, Cycle cycle, ThreadSignals a,
+          ThreadSignals b) {
+  const std::array<ThreadSignals, 2> signals{a, b};
+  return arbiter.grant(cycle, signals);
+}
 
 struct GrantCount {
   Cycle a = 0;
@@ -205,11 +225,11 @@ GrantCount count_grants(const DecodeArbiter& arbiter, Cycle cycles,
                         bool a_wants = true, bool b_wants = true) {
   GrantCount counts;
   for (Cycle c = 0; c < cycles; ++c) {
-    switch (arbiter.grant(c, ThreadSignals{a_wants, a_wants},
-                          ThreadSignals{b_wants, b_wants})) {
-      case DecodeGrant::kThreadA: ++counts.a; break;
-      case DecodeGrant::kThreadB: ++counts.b; break;
-      case DecodeGrant::kNone: ++counts.none; break;
+    switch (grant(arbiter, c, ThreadSignals{a_wants, a_wants},
+                  ThreadSignals{b_wants, b_wants})) {
+      case kA: ++counts.a; break;
+      case kB: ++counts.b; break;
+      default: ++counts.none; break;
     }
   }
   return counts;
@@ -219,8 +239,10 @@ class ArbiterShareSweep : public ::testing::TestWithParam<std::tuple<int, int>> 
 
 TEST_P(ArbiterShareSweep, GrantCountsMatchShareExactly) {
   const auto [a, b] = GetParam();
-  const DecodeArbiter arbiter(priority_from_int(a), priority_from_int(b));
-  const DecodeShare share = arbiter.share();
+  const DecodeArbiter arbiter =
+      pair_arbiter(priority_from_int(a), priority_from_int(b));
+  const DecodeShare share =
+      decode_share(priority_from_int(a), priority_from_int(b));
   const Cycle window = share.slice_cycles * 64;
   const GrantCount counts = count_grants(arbiter, window);
   EXPECT_EQ(counts.a, share.slots_a * 64u);
@@ -232,115 +254,118 @@ INSTANTIATE_TEST_SUITE_P(AllPairs, ArbiterShareSweep,
                                             ::testing::Range(2, 8)));
 
 TEST(Arbiter, EqualPrioritiesAlternate) {
-  const DecodeArbiter arbiter(HwPriority::kMedium, HwPriority::kMedium);
-  EXPECT_EQ(arbiter.grant(0, {true, true}, {true, true}), DecodeGrant::kThreadA);
-  EXPECT_EQ(arbiter.grant(1, {true, true}, {true, true}), DecodeGrant::kThreadB);
-  EXPECT_EQ(arbiter.grant(2, {true, true}, {true, true}), DecodeGrant::kThreadA);
+  const DecodeArbiter arbiter =
+      pair_arbiter(HwPriority::kMedium, HwPriority::kMedium);
+  EXPECT_EQ(grant(arbiter, 0, {true, true}, {true, true}), kA);
+  EXPECT_EQ(grant(arbiter, 1, {true, true}, {true, true}), kB);
+  EXPECT_EQ(grant(arbiter, 2, {true, true}, {true, true}), kA);
 }
 
 TEST(Arbiter, StrictSlicingWastesResourceBlockedSlots) {
-  const DecodeArbiter arbiter(HwPriority::kMedium, HwPriority::kMedium);
+  const DecodeArbiter arbiter =
+      pair_arbiter(HwPriority::kMedium, HwPriority::kMedium);
   // B's slot, B resource-blocked (has instructions but cannot decode):
   // the slot idles, A does NOT take it.
-  EXPECT_EQ(arbiter.grant(1, {true, true}, {false, true}), DecodeGrant::kNone);
+  EXPECT_EQ(grant(arbiter, 1, {true, true}, {false, true}), kNone);
 }
 
 TEST(Arbiter, FetchStarvedSlotsAreDonated) {
-  const DecodeArbiter arbiter(HwPriority::kMedium, HwPriority::kMedium);
+  const DecodeArbiter arbiter =
+      pair_arbiter(HwPriority::kMedium, HwPriority::kMedium);
   // B's slot, B fetch-starved (no instructions): A takes it.
-  EXPECT_EQ(arbiter.grant(1, {true, true}, {false, false}),
-            DecodeGrant::kThreadA);
+  EXPECT_EQ(grant(arbiter, 1, {true, true}, {false, false}), kA);
 }
 
 TEST(Arbiter, WorkConservingDonatesResourceBlockedSlots) {
-  const DecodeArbiter arbiter(HwPriority::kMedium, HwPriority::kMedium,
-                              /*work_conserving=*/true);
-  EXPECT_EQ(arbiter.grant(1, {true, true}, {false, true}),
-            DecodeGrant::kThreadA);
+  const DecodeArbiter arbiter = pair_arbiter(
+      HwPriority::kMedium, HwPriority::kMedium, /*work_conserving=*/true);
+  EXPECT_EQ(grant(arbiter, 1, {true, true}, {false, true}), kA);
 }
 
 TEST(Arbiter, LeftoverRuleLetsVeryLowDecodeUnusedCycles) {
-  const DecodeArbiter arbiter(HwPriority::kVeryLow, HwPriority::kMedium);
+  const DecodeArbiter arbiter =
+      pair_arbiter(HwPriority::kVeryLow, HwPriority::kMedium);
   // Owner (B) wants: B decodes, A never owns a slot.
-  EXPECT_EQ(arbiter.grant(0, {true, true}, {true, true}), DecodeGrant::kThreadB);
+  EXPECT_EQ(grant(arbiter, 0, {true, true}, {true, true}), kB);
   // B resource-blocked: the VERY-LOW thread picks the cycle up even
   // without work-conserving mode (Table III leftover semantics).
-  EXPECT_EQ(arbiter.grant(0, {true, true}, {false, true}),
-            DecodeGrant::kThreadA);
+  EXPECT_EQ(grant(arbiter, 0, {true, true}, {false, true}), kA);
 }
 
 TEST(Arbiter, LeftoverRuleMirroredForThreadB) {
   // (MEDIUM, VERY-LOW): every slot belongs to A; B only runs on leftovers.
-  const DecodeArbiter arbiter(HwPriority::kMedium, HwPriority::kVeryLow);
-  ASSERT_TRUE(arbiter.share().b_leftover_only);
+  const DecodeArbiter arbiter =
+      pair_arbiter(HwPriority::kMedium, HwPriority::kVeryLow);
+  ASSERT_NE(arbiter.schedule().leftover_only[1], 0);
   // Owner wants: owner decodes, on every cycle of the slice.
   for (Cycle c = 0; c < 64; ++c) {
-    EXPECT_EQ(arbiter.grant(c, {true, true}, {true, true}),
-              DecodeGrant::kThreadA)
+    EXPECT_EQ(grant(arbiter, c, {true, true}, {true, true}), kA)
         << "cycle " << c;
   }
   // A resource-blocked (has instructions but cannot decode): the leftover
   // rule still donates the cycle to B — unlike the strict Table II slicing,
   // which would waste it.
-  EXPECT_EQ(arbiter.grant(0, {false, true}, {true, true}),
-            DecodeGrant::kThreadB);
+  EXPECT_EQ(grant(arbiter, 0, {false, true}, {true, true}), kB);
   // A fetch-starved: donated as well.
-  EXPECT_EQ(arbiter.grant(0, {false, false}, {true, true}),
-            DecodeGrant::kThreadB);
+  EXPECT_EQ(grant(arbiter, 0, {false, false}, {true, true}), kB);
   // B has nothing to decode: the cycle idles.
-  EXPECT_EQ(arbiter.grant(0, {false, false}, {false, false}),
-            DecodeGrant::kNone);
+  EXPECT_EQ(grant(arbiter, 0, {false, false}, {false, false}), kNone);
 }
 
 TEST(Arbiter, OffVsVeryLowGrantsOneOf32) {
   // Table III (0, 1): the VERY-LOW thread receives 1 of 32 decode cycles;
   // the OFF thread receives nothing, ever.
-  const DecodeArbiter off_a(HwPriority::kOff, HwPriority::kVeryLow);
+  const DecodeArbiter off_a =
+      pair_arbiter(HwPriority::kOff, HwPriority::kVeryLow);
   const GrantCount counts = count_grants(off_a, 3200);
   EXPECT_EQ(counts.a, 0u);
   EXPECT_EQ(counts.b, 100u);
   EXPECT_EQ(counts.none, 3100u);
   // The OFF thread is never granted even if it claims to want the slot.
   for (Cycle c = 0; c < 64; ++c) {
-    EXPECT_NE(off_a.grant(c, {true, true}, {true, true}), DecodeGrant::kThreadA)
-        << "cycle " << c;
+    EXPECT_NE(grant(off_a, c, {true, true}, {true, true}), kA) << "cycle " << c;
   }
 
   // Mirrored: (1, 0) gives thread A the 1-in-32 slots.
-  const DecodeArbiter off_b(HwPriority::kVeryLow, HwPriority::kOff);
+  const DecodeArbiter off_b =
+      pair_arbiter(HwPriority::kVeryLow, HwPriority::kOff);
   const GrantCount mirrored = count_grants(off_b, 3200);
   EXPECT_EQ(mirrored.a, 100u);
   EXPECT_EQ(mirrored.b, 0u);
 }
 
 TEST(Arbiter, PowerSaveGrantsOneOf64Each) {
-  const DecodeArbiter arbiter(HwPriority::kVeryLow, HwPriority::kVeryLow);
+  const DecodeArbiter arbiter =
+      pair_arbiter(HwPriority::kVeryLow, HwPriority::kVeryLow);
   const GrantCount counts = count_grants(arbiter, 6400);
   EXPECT_EQ(counts.a, 100u);
   EXPECT_EQ(counts.b, 100u);
 }
 
 TEST(Arbiter, StoppedProcessorGrantsNothing) {
-  const DecodeArbiter arbiter(HwPriority::kOff, HwPriority::kOff);
+  const DecodeArbiter arbiter =
+      pair_arbiter(HwPriority::kOff, HwPriority::kOff);
   const GrantCount counts = count_grants(arbiter, 128);
   EXPECT_EQ(counts.a + counts.b, 0u);
 }
 
 TEST(Arbiter, SetPrioritiesTakesEffect) {
-  DecodeArbiter arbiter(HwPriority::kMedium, HwPriority::kMedium);
-  arbiter.set_priorities(HwPriority::kLow, HwPriority::kHigh);
-  EXPECT_EQ(arbiter.share().slice_cycles, 32u);
-  EXPECT_EQ(arbiter.priority_a(), HwPriority::kLow);
-  EXPECT_EQ(arbiter.priority_b(), HwPriority::kHigh);
+  DecodeArbiter arbiter =
+      pair_arbiter(HwPriority::kMedium, HwPriority::kMedium);
+  arbiter.set_priority(0, HwPriority::kLow);
+  arbiter.set_priority(1, HwPriority::kHigh);
+  EXPECT_EQ(arbiter.schedule().slice_cycles, 32u);
+  EXPECT_EQ(arbiter.schedule().slots, (std::vector<std::uint32_t>{1, 31}));
+  EXPECT_EQ(count_grants(arbiter, 32).b, 31u);
 }
 
 TEST(Arbiter, LowerPriorityOwnsFirstSliceCycle) {
   // With (4, 6): slice of 8, cycle 0 belongs to A (the lower priority).
-  const DecodeArbiter arbiter(HwPriority::kMedium, HwPriority::kHigh);
-  EXPECT_EQ(arbiter.grant(0, {true, true}, {true, true}), DecodeGrant::kThreadA);
+  const DecodeArbiter arbiter =
+      pair_arbiter(HwPriority::kMedium, HwPriority::kHigh);
+  EXPECT_EQ(grant(arbiter, 0, {true, true}, {true, true}), kA);
   for (Cycle c = 1; c < 8; ++c) {
-    EXPECT_EQ(arbiter.grant(c, {true, true}, {true, true}),
-              DecodeGrant::kThreadB)
+    EXPECT_EQ(grant(arbiter, c, {true, true}, {true, true}), kB)
         << "cycle " << c;
   }
 }

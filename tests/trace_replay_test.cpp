@@ -157,30 +157,5 @@ TEST(TraceReplay, EmitParseIsLosslessOnPhasePrograms) {
   EXPECT_EQ(emit_trace(parsed), text);
 }
 
-TEST(TraceReplay, RecordedRunReplaysToTheSameCompletionTime) {
-  // An imbalanced two-rank program: rank 0 dominates, so the original
-  // execution time is essentially rank 0's busy time — which is exactly
-  // what the replay skeleton preserves.
-  mpisim::Application app;
-  app.ranks.resize(2);
-  const isa::KernelId kernel =
-      isa::KernelRegistry::instance().by_name(isa::kKernelHpcMixed).id;
-  for (int i = 0; i < 3; ++i) {
-    app.ranks[0].compute(kernel, 5e8).barrier();
-    app.ranks[1].compute(kernel, 1e8).barrier();
-  }
-
-  mpisim::Engine original(app, mpisim::Placement::identity(2));
-  const mpisim::RunResult recorded = original.run();
-
-  const std::string text = emit_trace(recorded.trace, "replay");
-  const mpisim::Application replay_app = parse_text(text, "replay");
-  mpisim::Engine replayed(replay_app, mpisim::Placement::identity(2));
-  const mpisim::RunResult replay = replayed.run();
-
-  EXPECT_NEAR(replay.exec_time, recorded.exec_time,
-              0.10 * recorded.exec_time);
-}
-
 }  // namespace
 }  // namespace smtbal::workloads
